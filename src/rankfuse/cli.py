@@ -123,7 +123,6 @@ def _cmd_ensemble(args) -> int:
         gt,
         grid,
         metric=metric,
-        k_pred=args.k_pred,
         normalize=not args.no_normalize,
         init_matrix=init,
         model_ids=[e.name for e in entries],
@@ -311,7 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="write the per-step report here")
     p.add_argument("--grid", default=",".join(str(w) for w in ens.DEFAULT_WEIGHT_GRID))
     p.add_argument("--metric-k", type=int, default=1)
-    p.add_argument("--k-pred", type=int, default=None)
     p.add_argument("--no-normalize", action="store_true",
                    help="skip per-matrix min-max normalization before fusing")
     p.add_argument("--init-matrix", default=None,

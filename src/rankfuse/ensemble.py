@@ -14,23 +14,19 @@ smallest-w tie-break keeps the sweep deterministic.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .matrix_ops import ScoreMatrix, topk_rows
-from .metrics import GroundTruth, RetrievalMetrics, metrics_report
+from .matrix_ops import ScoreMatrix, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
+from .metrics import GroundTruth, RetrievalMetrics, metrics_report, query_ranks
 
 __all__ = [
     "DEFAULT_WEIGHT_GRID",
-    "THREADS_ENV_VAR",
     "WeightGrid",
     "RecallAtK",
-    "MetricKind",
     "EnsembleStep",
     "EnsembleTrace",
     "minmax_normalize",
@@ -41,10 +37,6 @@ __all__ = [
 
 # Default sweep values, densest just below 1 where retention pays off most.
 DEFAULT_WEIGHT_GRID = (0.0, 0.5, 0.8, 0.85, 0.875, 0.9, 0.9125, 0.925, 0.9375, 0.95)
-
-# Optional worker-thread count for evaluating grid points; results are
-# bit-identical to the sequential sweep.
-THREADS_ENV_VAR = "RANKFUSE_THREADS"
 
 
 @dataclass(frozen=True)
@@ -85,9 +77,6 @@ class RecallAtK:
         return f"R@{self.k}"
 
 
-MetricKind = RecallAtK
-
-
 class EnsembleStep(NamedTuple):
     model_id: str
     chosen_w: float
@@ -114,35 +103,18 @@ def minmax_normalize(data: np.ndarray) -> np.ndarray:
     return (data - lo) / span
 
 
-def _recall_from_pred(pred: np.ndarray, gt: GroundTruth, k: int) -> float:
-    cols = min(k, pred.shape[1])
-    hits = sum(
-        1 for q in range(pred.shape[0]) if not gt.relevant[q].isdisjoint(map(int, pred[q, :cols]))
-    )
-    return hits / pred.shape[0]
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep_weight(
     s_prev: ScoreMatrix,
     t_model: ScoreMatrix,
     gt: GroundTruth,
     grid: WeightGrid,
-    metric: MetricKind = RecallAtK(1),
-    k_pred: int | None = None,
+    metric: RecallAtK = RecallAtK(1),
 ) -> tuple[float, float]:
     """Pick the retention weight maximizing the metric of w*s_prev + (1-w)*t_model.
 
-    Every w in the grid is evaluated; ties go to the smallest w. ``k_pred``
-    controls how many columns the inner ranking keeps and defaults to the
-    metric's own k.
+    Every w in the grid is evaluated in order, each scored by one
+    :func:`rankfuse.metrics.query_ranks` pass over the fused matrix; ties go
+    to the smallest w.
     """
     if s_prev.data.shape != t_model.data.shape:
         raise ShapeError(
@@ -153,24 +125,18 @@ def sweep_weight(
             f"ground truth ({gt.n_queries} x {gt.gallery_size}) does not cover "
             f"score matrices ({t_model.n_queries} x {t_model.n_gallery})"
         )
-    k = metric.k if k_pred is None else k_pred
-    if not 1 <= k <= t_model.n_gallery:
-        raise ParameterError(f"k_pred must be in [1, {t_model.n_gallery}], got {k}")
+    if metric.k > t_model.n_gallery:
+        raise ParameterError(f"metric k must be in [1, {t_model.n_gallery}], got {metric.k}")
 
     def evaluate(w: float) -> float:
         fused = ScoreMatrix(w * s_prev.data + (1.0 - w) * t_model.data)
-        pred = topk_rows(fused, k).indices
-        return _recall_from_pred(pred, gt, metric.k)
+        hits = int(np.count_nonzero(query_ranks(fused.data, gt) < metric.k))
+        return hits / fused.n_queries
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(evaluate, grid.weights))
-    else:
-        values = [evaluate(w) for w in grid.weights]
+    values = [evaluate(w) for w in grid.weights]
 
     # Grid order is ascending, so a strict comparison lands on the smallest
-    # maximizer no matter how the evaluations were scheduled.
+    # maximizer.
     best_i = 0
     for i in range(1, len(values)):
         if values[i] > values[best_i]:
@@ -182,8 +148,7 @@ def iterative_ensemble(
     models: Sequence[ScoreMatrix],
     gt: GroundTruth,
     grid: WeightGrid,
-    metric: MetricKind = RecallAtK(1),
-    k_pred: int | None = None,
+    metric: RecallAtK = RecallAtK(1),
     normalize: bool = True,
     init_matrix: ScoreMatrix | None = None,
     model_ids: Sequence[str] | None = None,
@@ -198,8 +163,9 @@ def iterative_ensemble(
         taken as given.
     gt : GroundTruth
         Tuning labels for the weight sweeps (caller decides which split).
-    grid, metric, k_pred :
-        Sweep configuration; see :func:`sweep_weight`.
+    grid, metric :
+        Sweep configuration; see :func:`sweep_weight`. Each step's metric
+        value is Recall@``metric.k`` of the fused matrix it keeps.
     normalize : bool
         Min-max rescale every input matrix (and ``init_matrix``) to [0, 1]
         before fusing. Heterogeneous models score on wildly different scales,
@@ -240,7 +206,7 @@ def iterative_ensemble(
 
     steps = []
     for model_id, t in zip(ids, mats):
-        w, value = sweep_weight(ScoreMatrix(s), ScoreMatrix(t), gt, grid, metric, k_pred)
+        w, value = sweep_weight(ScoreMatrix(s), ScoreMatrix(t), gt, grid, metric)
         s = w * s + (1.0 - w) * t
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
@@ -251,7 +217,7 @@ def iterative_ensemble(
     return fused, trace
 
 
-def format_trace(trace: EnsembleTrace, metric: MetricKind = RecallAtK(1)) -> str:
+def format_trace(trace: EnsembleTrace, metric: RecallAtK = RecallAtK(1)) -> str:
     """Render a trace as a line-oriented key=value report."""
     lines = []
     for i, step in enumerate(trace.steps, start=1):

@@ -219,7 +219,10 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
     for key in ("n_queries", "n_gallery", "relevant"):
         if key not in doc:
             raise FormatError(f"{path}: manifest is missing '{key}'")
-    n_queries, n_gallery = int(doc["n_queries"]), int(doc["n_gallery"])
+    for key in ("n_queries", "n_gallery"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int) or doc[key] < 1:
+            raise FormatError(f"{path}: '{key}' must be a positive integer, got {doc[key]!r}")
+    n_queries, n_gallery = doc["n_queries"], doc["n_gallery"]
     rel = _parse_relevant(doc, n_queries, path)
     try:
         gt = GroundTruth(relevant=tuple(rel), gallery_size=n_gallery)

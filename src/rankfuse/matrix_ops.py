@@ -145,13 +145,14 @@ def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
     """
     if a.n_cols != b.n_cols:
         raise ShapeError(f"feature dimensions differ: {a.n_cols} vs {b.n_cols}")
+    unit = []
     for side, m in (("a", a), ("b", b)):
         norms = np.linalg.norm(m.data, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise DegenerateInputError(f"row {zero[0]} of {side} has zero norm")
-    an = l2_normalize_rows(a).data
-    bn = l2_normalize_rows(b).data
+        unit.append(m.data / norms[:, None])
+    an, bn = unit
     return ScoreMatrix(an @ bn.T)
 
 

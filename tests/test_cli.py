@@ -20,6 +20,9 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
+        # A removed flag is a usage error too.
+        assert run_cli(["ensemble", "--manifest", "m.json", "--out", "f.npy", "--k-pred", "1"]) == 2
+        assert "unrecognized arguments: --k-pred" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
@@ -132,6 +135,14 @@ class TestEnsembleCommand:
         ])
         assert rc == 1
         capsys.readouterr()
+        # With a model to fuse, a metric k beyond the gallery is named as such.
+        write_matrix(np.eye(2), tmp_path / "m.npy")
+        rc = run_cli([
+            "ensemble", "--manifest", str(manifest), "--model", str(tmp_path / "m.npy"),
+            "--out", str(tmp_path / "f.npy"), "--metric-k", "5",
+        ])
+        assert rc == 1
+        assert "metric k must be in [1, 2], got 5" in capsys.readouterr().err
 
 
 class TestSelectCommand:

@@ -3,7 +3,6 @@ import pytest
 
 from rankfuse.ensemble import (
     DEFAULT_WEIGHT_GRID,
-    THREADS_ENV_VAR,
     RecallAtK,
     WeightGrid,
     format_trace,
@@ -123,16 +122,6 @@ class TestSweepWeight:
                 WeightGrid((0.5,)),
             )
 
-    def test_threaded_sweep_matches_sequential(self, monkeypatch):
-        rng = np.random.default_rng(2)
-        s_prev = ScoreMatrix(rng.random((10, 10)))
-        t = ScoreMatrix(rng.random((10, 10)))
-        gt = GroundTruth.identity(10)
-        grid = WeightGrid(DEFAULT_WEIGHT_GRID)
-        sequential = sweep_weight(s_prev, t, gt, grid)
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert sweep_weight(s_prev, t, gt, grid) == sequential
-
 
 class TestIterativeEnsemble:
     def test_single_model_identity(self):
@@ -185,13 +174,22 @@ class TestIterativeEnsemble:
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(7)
         gt = GroundTruth.identity(5)
-        for _ in range(25):
+        # Continuous scores at k = 1, then k = 3, then scores rounded to five
+        # levels so fused rows hold exact ties at both k.
+        cases = [(1, False)] * 25 + [(3, False)] * 25 + [(1, True)] * 25 + [(3, True)] * 25
+        for k, tied in cases:
             mats = [rng.random((5, 5)) for _ in range(3)]
+            if tied:
+                mats = [np.round(m * 4) / 4 for m in mats]
             grid = (0.0, 0.25, 0.5, 0.75, 1.0)
             fused, trace = iterative_ensemble(
-                [ScoreMatrix(m) for m in mats], gt, WeightGrid(grid), normalize=False
+                [ScoreMatrix(m) for m in mats],
+                gt,
+                WeightGrid(grid),
+                metric=RecallAtK(k),
+                normalize=False,
             )
-            oracle_s, oracle_steps = oracle_iterative(mats, gt, grid, k=1)
+            oracle_s, oracle_steps = oracle_iterative(mats, gt, grid, k=k)
             assert [s.chosen_w for s in trace.steps] == [w for w, _ in oracle_steps]
             assert [s.metric_value for s in trace.steps] == [v for _, v in oracle_steps]
             np.testing.assert_array_equal(fused.data, oracle_s)

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from rankfuse.cli import run_cli
 from rankfuse.errors import FormatError, ValidationError
 from rankfuse.io_files import (
     ModelEntry,
@@ -15,6 +17,15 @@ from rankfuse.io_files import (
 from rankfuse.metrics import GroundTruth
 
 MAGIC = b"\x93NUMPY"
+
+
+def assert_cli_rejects(manifest, tmp_path, capsys):
+    """``rankfuse ensemble`` on a bad manifest exits 1 naming it, without a traceback."""
+    rc = run_cli(["ensemble", "--manifest", str(manifest), "--out", str(tmp_path / "f.npy")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(manifest) in err
+    assert "Traceback" not in err
 
 
 def npy_bytes(descr="<f8", fortran=False, shape=(1, 1), payload=None, version=(1, 0)):
@@ -181,11 +192,15 @@ class TestManifests:
         p.write_text(json.dumps({"n_queries": 1, "n_gallery": 3, "relevant": [[1, 2]]}))
         assert load_ground_truth(p).relevant[0] == frozenset({1, 2})
 
-    def test_out_of_range_index_names_query(self, tmp_path):
+    def test_out_of_range_index_names_query(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
-        p.write_text(json.dumps({"n_queries": 1, "n_gallery": 3, "relevant": [[5]]}))
-        with pytest.raises(ValidationError, match="query 0"):
-            load_ground_truth(p)
+        # Out of range, then a bare index, a fractional index and a boolean.
+        for relevant in ([[5]], [1, 0], [[1.7], [0]], [[True], [0]]):
+            doc = {"n_queries": len(relevant), "n_gallery": 3, "relevant": relevant}
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError, match=re.escape(f"{p}: query 0")):
+                load_ground_truth(p)
+            assert_cli_rejects(p, tmp_path, capsys)
 
     def test_invalid_json_names_line(self, tmp_path):
         p = tmp_path / "manifest.json"
@@ -193,11 +208,20 @@ class TestManifests:
         with pytest.raises(FormatError, match="line 2"):
             load_ground_truth(p)
 
-    def test_missing_key(self, tmp_path):
+    def test_missing_key(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
-        p.write_text(json.dumps({"n_queries": 1, "relevant": [[0]]}))
-        with pytest.raises(FormatError, match="n_gallery"):
-            load_ground_truth(p)
+        # A missing count, then counts that are not positive integers.
+        for doc, key in (
+            ({"n_queries": 1, "relevant": [[0]]}, "n_gallery"),
+            ({"n_queries": "x", "n_gallery": 1, "relevant": [[0]]}, "n_queries"),
+            ({"n_queries": 1, "n_gallery": 1.5, "relevant": [[0]]}, "n_gallery"),
+            ({"n_queries": True, "n_gallery": 1, "relevant": [[0]]}, "n_queries"),
+            ({"n_queries": 1, "n_gallery": 0, "relevant": [[0]]}, "n_gallery"),
+        ):
+            p.write_text(json.dumps(doc))
+            with pytest.raises(FormatError, match=key):
+                load_ground_truth(p)
+            assert_cli_rejects(p, tmp_path, capsys)
 
     def test_model_paths_checked_at_load(self, tmp_path):
         p = tmp_path / "manifest.json"

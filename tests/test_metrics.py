@@ -83,9 +83,20 @@ class TestMetricsReport:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        for _ in range(30):
+        for trial in range(90):
             data = rng.random((50, 50))
             gt = GroundTruth.identity(50)
+            if trial >= 30:
+                # Scores on five levels, so most rows tie at the relevant
+                # item's value, and 1-4 relevant items per query.
+                data = np.round(data * 4) / 4
+                gt = GroundTruth(
+                    relevant=tuple(
+                        rng.choice(50, size=int(rng.integers(1, 5)), replace=False)
+                        for _ in range(50)
+                    ),
+                    gallery_size=50,
+                )
             report = metrics_report(ScoreMatrix(data), gt, [1, 5, 10])
             for k in (1, 5, 10):
                 assert report.r_at[k] == brute_force_recall(data, gt, k)
