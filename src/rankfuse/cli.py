@@ -128,7 +128,7 @@ def _cmd_ensemble(args) -> int:
         model_ids=[e.name for e in entries],
     )
     write_matrix(fused, args.out, _infer_format(args.out, args.out_format))
-    report = ens.format_trace(trace, metric)
+    report = ens.format_trace(trace)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(report)

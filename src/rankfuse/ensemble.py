@@ -85,9 +85,10 @@ class EnsembleStep(NamedTuple):
 
 @dataclass(frozen=True)
 class EnsembleTrace:
-    """One entry per fused model, in fusion order, plus final metrics."""
+    """One entry per fused model, in fusion order, the tuning metric, and final metrics."""
 
     steps: tuple
+    metric: RecallAtK
     final_metrics: RetrievalMetrics
 
     def __post_init__(self):
@@ -113,8 +114,8 @@ def sweep_weight(
     """Pick the retention weight maximizing the metric of w*s_prev + (1-w)*t_model.
 
     Every w in the grid is evaluated in order, each scored by one
-    :func:`rankfuse.metrics.query_ranks` pass over the fused matrix; ties go
-    to the smallest w.
+    :func:`rankfuse.metrics.query_ranks` pass over the plain blended array,
+    which is finite because both inputs are; ties go to the smallest w.
     """
     if s_prev.data.shape != t_model.data.shape:
         raise ShapeError(
@@ -129,18 +130,12 @@ def sweep_weight(
         raise ParameterError(f"metric k must be in [1, {t_model.n_gallery}], got {metric.k}")
 
     def evaluate(w: float) -> float:
-        fused = ScoreMatrix(w * s_prev.data + (1.0 - w) * t_model.data)
-        hits = int(np.count_nonzero(query_ranks(fused.data, gt) < metric.k))
-        return hits / fused.n_queries
+        ranks = query_ranks(w * s_prev.data + (1.0 - w) * t_model.data, gt)
+        return int(np.count_nonzero(ranks < metric.k)) / t_model.n_queries
 
     values = [evaluate(w) for w in grid.weights]
-
-    # Grid order is ascending, so a strict comparison lands on the smallest
-    # maximizer.
-    best_i = 0
-    for i in range(1, len(values)):
-        if values[i] > values[best_i]:
-            best_i = i
+    # Grid order is ascending, so the first maximum is the smallest maximizer.
+    best_i = values.index(max(values))
     return grid.weights[best_i], values[best_i]
 
 
@@ -152,7 +147,6 @@ def iterative_ensemble(
     normalize: bool = True,
     init_matrix: ScoreMatrix | None = None,
     model_ids: Sequence[str] | None = None,
-    report_ks: Sequence[int] | None = None,
 ) -> tuple[ScoreMatrix, EnsembleTrace]:
     """Fuse an ordered list of model score matrices with per-step weight tuning.
 
@@ -165,19 +159,22 @@ def iterative_ensemble(
         Tuning labels for the weight sweeps (caller decides which split).
     grid, metric :
         Sweep configuration; see :func:`sweep_weight`. Each step's metric
-        value is Recall@``metric.k`` of the fused matrix it keeps.
+        value is Recall@``metric.k`` of the fused matrix it keeps, and the
+        trace records ``metric``.
     normalize : bool
-        Min-max rescale every input matrix (and ``init_matrix``) to [0, 1]
-        before fusing. Heterogeneous models score on wildly different scales,
-        so this is on by default; turn it off for raw convex fusion.
+        Min-max rescale each input matrix (and ``init_matrix``) to [0, 1]
+        when its step starts. Heterogeneous models score on wildly different
+        scales, so this is on by default; turn it off for raw convex fusion.
     init_matrix : ScoreMatrix, optional
         Starting accumulator instead of the zero matrix, for studying
-        warm-started fusion.
+        warm-started fusion. It is never modified.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
-    report_ks : sequence of int, optional
-        Cutoffs for the final metric report; defaults to {1, 5, 10} clipped
-        to the gallery size, plus the tuning metric's k.
+
+    Each normalized model and each kept blend is validated once; a model
+    spanning more than the float64 maximum normalizes to NaN and raises
+    ``ValidationError``. The final report covers R@{1, 5, 10} within the
+    gallery plus the tuning metric's k.
 
     Returns
     -------
@@ -194,36 +191,32 @@ def iterative_ensemble(
     if len(ids) != len(models):
         raise ParameterError(f"{len(ids)} model ids for {len(models)} models")
 
-    mats = [minmax_normalize(m.data) if normalize else m.data for m in models]
     if init_matrix is None:
-        s = np.zeros(shape)
+        s = ScoreMatrix(np.zeros(shape))
+    elif init_matrix.data.shape != shape:
+        raise ShapeError(f"init matrix has shape {init_matrix.data.shape}, expected {shape}")
     else:
-        if init_matrix.data.shape != shape:
-            raise ShapeError(
-                f"init matrix has shape {init_matrix.data.shape}, expected {shape}"
-            )
-        s = minmax_normalize(init_matrix.data) if normalize else init_matrix.data.copy()
+        s = ScoreMatrix(minmax_normalize(init_matrix.data)) if normalize else init_matrix
 
     steps = []
-    for model_id, t in zip(ids, mats):
-        w, value = sweep_weight(ScoreMatrix(s), ScoreMatrix(t), gt, grid, metric)
-        s = w * s + (1.0 - w) * t
+    for model_id, m in zip(ids, models):
+        t = ScoreMatrix(minmax_normalize(m.data)) if normalize else m
+        w, value = sweep_weight(s, t, gt, grid, metric)
+        s = ScoreMatrix(w * s.data + (1.0 - w) * t.data)
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
-    fused = ScoreMatrix(s)
-    if report_ks is None:
-        report_ks = sorted({metric.k} | {k for k in (1, 5, 10) if k <= fused.n_gallery})
-    trace = EnsembleTrace(steps=tuple(steps), final_metrics=metrics_report(fused, gt, report_ks))
-    return fused, trace
+    report_ks = sorted({metric.k} | {k for k in (1, 5, 10) if k <= s.n_gallery})
+    final = metrics_report(s, gt, report_ks)
+    return s, EnsembleTrace(steps=tuple(steps), metric=metric, final_metrics=final)
 
 
-def format_trace(trace: EnsembleTrace, metric: RecallAtK = RecallAtK(1)) -> str:
-    """Render a trace as a line-oriented key=value report."""
+def format_trace(trace: EnsembleTrace) -> str:
+    """Render a trace as key=value lines, steps labelled with its tuning metric."""
     lines = []
     for i, step in enumerate(trace.steps, start=1):
         lines.append(
             f"step={i} model={step.model_id} w={step.chosen_w!r} "
-            f"{metric.name}={step.metric_value:.6f}"
+            f"{trace.metric.name}={step.metric_value:.6f}"
         )
     for k in sorted(trace.final_metrics.r_at):
         lines.append(f"final R@{k}={trace.final_metrics.r_at[k]:.6f}")

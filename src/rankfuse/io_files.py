@@ -88,7 +88,7 @@ def _load_array(path) -> np.ndarray:
     if (
         not isinstance(shape, tuple)
         or len(shape) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in shape)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
     ):
         raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
 
@@ -187,13 +187,14 @@ def write_matrix(m, path, format: str = "array") -> None:
 def _parse_relevant(doc, n_queries: int, path) -> list:
     rel = doc.get("relevant")
     if isinstance(rel, dict):
-        out = []
-        for q in range(n_queries):
-            key = str(q)
-            if key not in rel and q not in rel:
+        keys = [str(q) for q in range(n_queries)]
+        for q, key in enumerate(keys):
+            if key not in rel:
                 raise FormatError(f"{path}: relevant map is missing query {q}")
-            out.append(rel.get(key, rel.get(q)))
-        return out
+        extra = sorted(set(rel).difference(keys))
+        if extra:
+            raise FormatError(f"{path}: relevant map key {extra[0]!r} names no query")
+        return [rel[key] for key in keys]
     if isinstance(rel, list):
         if len(rel) != n_queries:
             raise FormatError(
@@ -232,20 +233,25 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
         raise FormatError(f"{path}: {gt.n_queries} relevant rows for n_queries={n_queries}")
 
     base = os.path.dirname(os.path.abspath(path))
+    entries = doc.get("models", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: 'models' must be a list, got {entries!r}")
     models = []
-    for i, entry in enumerate(doc.get("models", [])):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise FormatError(f"{path}: models[{i}] must be an object with a 'path'")
-        mpath = entry["path"]
-        if not os.path.isabs(mpath):
-            mpath = os.path.join(base, mpath)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise FormatError(f"{path}: models[{i}] must be an object with a string 'path'")
+        fmt = entry.get("format", "array")
+        if fmt not in ("array", "csv"):
+            raise FormatError(f"{path}: models[{i}] format must be 'array' or 'csv', got {fmt!r}")
+        # An absolute path replaces ``base`` in the join.
+        mpath = os.path.join(base, entry["path"])
         if not os.path.exists(mpath):
             raise ValidationError(f"{path}: models[{i}] path does not exist: {mpath}")
         models.append(
             ModelEntry(
                 name=str(entry.get("name", f"model-{i}")),
                 path=mpath,
-                format=str(entry.get("format", "array")),
+                format=fmt,
             )
         )
     return gt, models

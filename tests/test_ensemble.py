@@ -10,7 +10,7 @@ from rankfuse.ensemble import (
     minmax_normalize,
     sweep_weight,
 )
-from rankfuse.errors import ParameterError, ShapeError
+from rankfuse.errors import ParameterError, ShapeError, ValidationError
 from rankfuse.matrix_ops import ScoreMatrix
 from rankfuse.metrics import GroundTruth, recall_at_k
 
@@ -215,6 +215,13 @@ class TestIterativeEnsemble:
         assert fused.data.max() <= 1.0
         assert recall_at_k(fused, gt, 1) == 1.0
 
+    def test_normalized_overflow_rejected(self):
+        # The span exceeds the float64 maximum, so min-max gives NaN.
+        wide = ScoreMatrix([[-1e308, 1e308], [1e308, -1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError):
+                iterative_ensemble([wide], GroundTruth.identity(2), WeightGrid((0.5,)))
+
     def test_empty_model_list_rejected(self):
         with pytest.raises(ParameterError):
             iterative_ensemble([], GroundTruth.identity(2), WeightGrid((0.5,)))
@@ -267,3 +274,8 @@ class TestHelpers:
         assert "step=1 model=alpha" in text
         assert "step=2 model=beta" in text
         assert "final R@1=1.000000" in text
+        # Step lines carry the metric the fusion was tuned by.
+        _, trace = iterative_ensemble([a, b], gt, WeightGrid((0.0, 0.5, 1.0)), metric=RecallAtK(2))
+        steps = [line for line in format_trace(trace).splitlines() if line.startswith("step=")]
+        assert len(steps) == 2
+        assert all(" R@2=" in line for line in steps)

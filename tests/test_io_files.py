@@ -103,11 +103,21 @@ class TestArrayFormat:
         with pytest.raises(FormatError, match="dtype"):
             load_matrix(p)
 
-    def test_non_2d_shape_rejected(self, tmp_path):
+    def test_non_2d_shape_rejected(self, tmp_path, capsys):
         p = tmp_path / "vec.npy"
         np.save(p, np.zeros(5))
         with pytest.raises(FormatError, match="2-D"):
             load_matrix(p)
+        # Boolean extents are not integers, even though bool subclasses int.
+        p.write_bytes(npy_bytes(shape=(True, True)))
+        with pytest.raises(FormatError, match="2-D"):
+            load_matrix(p)
+        gt = tmp_path / "gt.json"
+        write_manifest(gt, GroundTruth.identity(1))
+        assert run_cli(["eval", "--scores", str(p), "--gt", str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert "2-D" in err
+        assert "Traceback" not in err
 
     def test_payload_length_mismatch(self, tmp_path):
         p = tmp_path / "short.npy"
@@ -210,13 +220,28 @@ class TestManifests:
 
     def test_missing_key(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
-        # A missing count, then counts that are not positive integers.
+        write_matrix(np.eye(1), tmp_path / "m.npy")
+        base = {"n_queries": 1, "n_gallery": 1, "relevant": [[0]]}
+        rel3 = {"0": [0], "1": [1], "2": [2]}
+        # A missing count, then counts that are not positive integers,
+        # relevant-map keys that name no query (past the last one, and a
+        # zero-padded spelling of query 1), a 'models' value that is not a
+        # list, and model entries whose path is not a string or whose format
+        # is not a known one.
         for doc, key in (
             ({"n_queries": 1, "relevant": [[0]]}, "n_gallery"),
             ({"n_queries": "x", "n_gallery": 1, "relevant": [[0]]}, "n_queries"),
             ({"n_queries": 1, "n_gallery": 1.5, "relevant": [[0]]}, "n_gallery"),
             ({"n_queries": True, "n_gallery": 1, "relevant": [[0]]}, "n_queries"),
             ({"n_queries": 1, "n_gallery": 0, "relevant": [[0]]}, "n_gallery"),
+            ({"n_queries": 3, "n_gallery": 3, "relevant": {**rel3, "9": [0]}}, "key '9'"),
+            ({"n_queries": 3, "n_gallery": 3, "relevant": {**rel3, "01": [0]}}, "key '01'"),
+            ({**base, "models": 5}, "'models'"),
+            ({**base, "models": None}, "'models'"),
+            ({**base, "models": [{"path": 5}]}, r"models\[0\]"),
+            ({**base, "models": [{"path": None}]}, r"models\[0\]"),
+            ({**base, "models": [{"path": "m.npy", "format": 5}]}, r"models\[0\]"),
+            ({**base, "models": [{"path": "m.npy", "format": "bogus"}]}, r"models\[0\]"),
         ):
             p.write_text(json.dumps(doc))
             with pytest.raises(FormatError, match=key):
@@ -234,6 +259,11 @@ class TestManifests:
     def test_model_paths_resolved_relative(self, tmp_path):
         write_matrix(np.eye(2), tmp_path / "m.npy")
         p = tmp_path / "manifest.json"
-        write_manifest(p, GroundTruth.identity(2), [ModelEntry(name="m", path="m.npy")])
+        # A relative path, then an absolute one, which is kept as given.
+        entries = [
+            ModelEntry(name="m", path="m.npy"),
+            ModelEntry(name="a", path=str(tmp_path / "m.npy")),
+        ]
+        write_manifest(p, GroundTruth.identity(2), entries)
         _, models = load_manifest(p)
-        assert models[0].path == str(tmp_path / "m.npy")
+        assert [m.path for m in models] == [str(tmp_path / "m.npy")] * 2
