@@ -24,7 +24,7 @@ import numpy as np
 from . import ensemble as ens
 from . import losses as ls
 from . import view_sampling as vs
-from .errors import ParameterError, RankfuseError
+from .errors import ParameterError, RankfuseError, ShapeError
 from .io_files import (
     ModelEntry,
     load_ground_truth,
@@ -65,6 +65,12 @@ def _parse_floats(text: str) -> list[float]:
     return vals
 
 
+def _check_extent(path, what: str, got, expected, source: str) -> None:
+    """Reject a loaded matrix whose ``what`` differs from ``source``'s, naming its file."""
+    if got != expected:
+        raise ShapeError(f"{path}: {what} is {got}, expected {expected} from {source}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 # ---------------------------------------------------------------------------
@@ -73,6 +79,7 @@ def _parse_floats(text: str) -> list[float]:
 def _cmd_sim(args) -> int:
     queries = EmbeddingMatrix(load_matrix(args.queries, _infer_format(args.queries, args.format)))
     gallery = EmbeddingMatrix(load_matrix(args.gallery, _infer_format(args.gallery, args.format)))
+    _check_extent(args.gallery, "feature dimension", gallery.n_cols, queries.n_cols, args.queries)
     scores = cosine_similarity(queries, gallery)
     write_matrix(scores, args.out, _infer_format(args.out, args.out_format))
     print(f"wrote {scores.n_queries}x{scores.n_gallery} score matrix to {args.out}")
@@ -82,20 +89,16 @@ def _cmd_sim(args) -> int:
 def _cmd_eval(args) -> int:
     scores = ScoreMatrix(load_matrix(args.scores, _infer_format(args.scores, args.format)))
     gt = load_ground_truth(args.gt)
+    expected = (gt.n_queries, gt.gallery_size)
+    _check_extent(args.scores, "shape", scores.data.shape, expected, f"manifest {args.gt}")
+    n = scores.n_gallery
     requested = _parse_ks(args.k)
-    clipped = []
     for k in requested:
-        if k > scores.n_gallery:
-            print(
-                f"warning: k={k} exceeds gallery size {scores.n_gallery}; clipped",
-                file=sys.stderr,
-            )
-            clipped.append(scores.n_gallery)
-        else:
-            clipped.append(k)
-    report = metrics_report(scores, gt, sorted(set(clipped)))
-    for k_req, k_used in zip(requested, clipped):
-        print(f"R@{k_req}={report.r_at[k_used]:.4f}")
+        if k > n:
+            print(f"warning: k={k} exceeds gallery size {n}; clipped", file=sys.stderr)
+    report = metrics_report(scores, gt, {min(k, n) for k in requested})
+    for k in requested:
+        print(f"R@{k}={report.r_at[min(k, n)]:.4f}")
     return 0
 
 
@@ -112,12 +115,18 @@ def _cmd_ensemble(args) -> int:
     entries = extra + entries
     if not entries:
         raise ParameterError(f"{args.manifest}: no model matrices to fuse (and no --model given)")
-    models = [ScoreMatrix(load_matrix(e.path, e.format)) for e in entries]
+    expected = (gt.n_queries, gt.gallery_size)
+    source = f"manifest {args.manifest}"
+    models = []
+    for e in entries:
+        models.append(ScoreMatrix(load_matrix(e.path, e.format)))
+        _check_extent(e.path, "shape", models[-1].data.shape, expected, source)
     grid = ens.WeightGrid(tuple(_parse_floats(args.grid)))
     metric = ens.RecallAtK(args.metric_k)
     init = None
     if args.init_matrix:
         init = ScoreMatrix(load_matrix(args.init_matrix, _infer_format(args.init_matrix, args.format)))
+        _check_extent(args.init_matrix, "shape", init.data.shape, expected, source)
     fused, trace = ens.iterative_ensemble(
         models,
         gt,
@@ -139,6 +148,8 @@ def _cmd_ensemble(args) -> int:
 def _cmd_select(args) -> int:
     features = EmbeddingMatrix(load_matrix(args.features, _infer_format(args.features, args.format)))
     guidance = ScoreMatrix(load_matrix(args.guidance, _infer_format(args.guidance, args.format)))
+    rows = f"the rows of {args.features}"
+    _check_extent(args.guidance, "column count", guidance.n_gallery, features.n_rows, rows)
     selected = select_topk_features(features, guidance, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in selected.indices:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .matrix_ops import ScoreMatrix, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
+from .matrix_ops import ScoreMatrix, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import GroundTruth, RetrievalMetrics, metrics_report, query_ranks
 
 __all__ = [
@@ -95,15 +95,6 @@ class EnsembleTrace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def minmax_normalize(data: np.ndarray) -> np.ndarray:
-    """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros."""
-    lo, hi = data.min(), data.max()
-    span = hi - lo
-    if span == 0:
-        return np.zeros_like(data)
-    return (data - lo) / span
-
-
 def sweep_weight(
     s_prev: ScoreMatrix,
     t_model: ScoreMatrix,
@@ -120,11 +111,6 @@ def sweep_weight(
     if s_prev.data.shape != t_model.data.shape:
         raise ShapeError(
             f"score matrices differ in shape: {s_prev.data.shape} vs {t_model.data.shape}"
-        )
-    if gt.n_queries != t_model.n_queries or gt.gallery_size != t_model.n_gallery:
-        raise ShapeError(
-            f"ground truth ({gt.n_queries} x {gt.gallery_size}) does not cover "
-            f"score matrices ({t_model.n_queries} x {t_model.n_gallery})"
         )
     if metric.k > t_model.n_gallery:
         raise ParameterError(f"metric k must be in [1, {t_model.n_gallery}], got {metric.k}")
@@ -172,7 +158,7 @@ def iterative_ensemble(
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
     Each normalized model and each kept blend is validated once; a model
-    spanning more than the float64 maximum normalizes to NaN and raises
+    whose values span more than the float64 maximum raises
     ``ValidationError``. The final report covers R@{1, 5, 10} within the
     gallery plus the tuning metric's k.
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .matrix_ops import _as_matrix
 from .metrics import GroundTruth
 
 __all__ = [
@@ -46,14 +47,6 @@ class ModelEntry:
     name: str
     path: str
     format: str = "array"
-
-
-def _check_finite(arr: np.ndarray, path) -> np.ndarray:
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"{path}: non-finite value at ({i}, {j})")
-    return arr
 
 
 def _load_array(path) -> np.ndarray:
@@ -94,14 +87,14 @@ def _load_array(path) -> np.ndarray:
 
     dtype = np.dtype(_SUPPORTED_DESCR[descr])
     expected = shape[0] * shape[1] * dtype.itemsize
-    payload = data[header_end:]
-    if len(payload) != expected:
+    if len(data) - header_end != expected:
         raise FormatError(
-            f"{path}: payload at offset {header_end} is {len(payload)} bytes, "
+            f"{path}: payload at offset {header_end} is {len(data) - header_end} bytes, "
             f"header shape {shape} implies {expected}"
         )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
-    return _check_finite(arr.astype(np.float64), path)
+    # astype copies, so the result owns its memory and is writable.
+    arr = np.frombuffer(data, dtype=dtype, offset=header_end).reshape(shape)
+    return _as_matrix(arr.astype(np.float64), str(path))
 
 
 def _write_array(arr: np.ndarray, path) -> None:
@@ -114,7 +107,7 @@ def _write_array(arr: np.ndarray, path) -> None:
         fh.write(bytes((1, 0)))
         fh.write(len(header).to_bytes(2, "little"))
         fh.write(header.encode("latin-1"))
-        fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _load_csv(path) -> np.ndarray:
@@ -138,7 +131,7 @@ def _load_csv(path) -> np.ndarray:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    return _check_finite(np.asarray(rows, dtype=np.float64), path)
+    return _as_matrix(rows, str(path))
 
 
 def _write_csv(arr: np.ndarray, path) -> None:
@@ -229,8 +222,6 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
         gt = GroundTruth(relevant=tuple(rel), gallery_size=n_gallery)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    if gt.n_queries != n_queries:
-        raise FormatError(f"{path}: {gt.n_queries} relevant rows for n_queries={n_queries}")
 
     base = os.path.dirname(os.path.abspath(path))
     entries = doc.get("models", [])
@@ -240,6 +231,9 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise FormatError(f"{path}: models[{i}] must be an object with a string 'path'")
+        name = entry.get("name", f"model-{i}")
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: models[{i}] name must be a string, got {name!r}")
         fmt = entry.get("format", "array")
         if fmt not in ("array", "csv"):
             raise FormatError(f"{path}: models[{i}] format must be 'array' or 'csv', got {fmt!r}")
@@ -247,13 +241,7 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
         mpath = os.path.join(base, entry["path"])
         if not os.path.exists(mpath):
             raise ValidationError(f"{path}: models[{i}] path does not exist: {mpath}")
-        models.append(
-            ModelEntry(
-                name=str(entry.get("name", f"model-{i}")),
-                path=mpath,
-                format=fmt,
-            )
-        )
+        models.append(ModelEntry(name=name, path=mpath, format=fmt))
     return gt, models
 
 

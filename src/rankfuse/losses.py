@@ -314,7 +314,12 @@ def mlm_loss_grad(batch: MlmBatch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mim_inputs(reconstructed, original, mask: MaskSpec):
+def _mim_inputs(reconstructed, original, mask: MaskSpec, normalize: bool):
+    """Validated (rec, org, flags, per-image masked counts).
+
+    With ``normalize`` on, every image must have a masked element, since its
+    contribution is a mean over them.
+    """
     rec = reconstructed.data if isinstance(reconstructed, ImageTensor) else ImageTensor(reconstructed).data
     org = original.data if isinstance(original, ImageTensor) else ImageTensor(original).data
     flags = mask.masked_flags
@@ -324,7 +329,10 @@ def _mim_inputs(reconstructed, original, mask: MaskSpec):
         raise ShapeError(f"mask {flags.shape} does not match image shape {rec.shape}")
     if rec.ndim < 2:
         raise ShapeError(f"image batch must have a leading batch axis, got shape {rec.shape}")
-    return rec, org, flags
+    counts = flags.reshape(rec.shape[0], -1).sum(axis=1)
+    if normalize and np.any(counts == 0):
+        raise ParameterError(f"image {int(np.flatnonzero(counts == 0)[0])} has no masked elements")
+    return rec, org, flags, counts
 
 
 def mim_loss(
@@ -341,19 +349,13 @@ def mim_loss(
     raw L1 sum over all of its elements instead; this variant is
     scale-dependent on image size.
     """
-    rec, org, flags = _mim_inputs(reconstructed, original, mask)
+    rec, org, flags, counts = _mim_inputs(reconstructed, original, mask, normalize)
     n = rec.shape[0]
     absdiff = np.abs(rec - org).reshape(n, -1)
-    flat_flags = flags.reshape(n, -1)
     if normalize:
-        counts = flat_flags.sum(axis=1)
-        if np.any(counts == 0):
-            raise ParameterError(
-                f"image {int(np.flatnonzero(counts == 0)[0])} has no masked elements"
-            )
-        per_image = (absdiff * flat_flags).sum(axis=1) / counts
+        per_image = (absdiff * flags.reshape(n, -1)).sum(axis=1) / counts
     else:
-        if not flat_flags.any():
+        if not counts.any():
             raise ParameterError("mask selects no elements")
         per_image = absdiff.sum(axis=1)
     return float(per_image.mean())
@@ -370,15 +372,10 @@ def mim_loss_grad(
     The loss is piecewise linear; the sign convention at exact-zero
     differences follows ``np.sign`` (zero).
     """
-    rec, org, flags = _mim_inputs(reconstructed, original, mask)
+    rec, org, flags, counts = _mim_inputs(reconstructed, original, mask, normalize)
     n = rec.shape[0]
     sign = np.sign(rec - org)
     if normalize:
-        counts = flags.reshape(n, -1).sum(axis=1)
-        if np.any(counts == 0):
-            raise ParameterError(
-                f"image {int(np.flatnonzero(counts == 0)[0])} has no masked elements"
-            )
         scale = counts.reshape((n,) + (1,) * (rec.ndim - 1)).astype(np.float64)
         return sign * flags / (n * scale)
     return sign / n
@@ -480,7 +477,6 @@ def finite_diff_grad_check(kind: LossKind, inputs, epsilon: float = 1e-6) -> flo
 
     if kind is LossKind.MLM:
         batch: MlmBatch = inputs
-        mlm_loss(batch)  # validate before perturbing rows off the simplex
         analytic = mlm_loss_grad(batch)
         numeric = _central_diff(
             lambda p: _mlm_nll(p, batch.target_index), batch.predicted, epsilon
@@ -489,8 +485,7 @@ def finite_diff_grad_check(kind: LossKind, inputs, epsilon: float = 1e-6) -> flo
 
     if kind is LossKind.MIM:
         reconstructed, original, mask = inputs
-        rec, org, flags = _mim_inputs(reconstructed, original, mask)
-        mim_loss(rec, org, mask)
+        rec, org, flags, _ = _mim_inputs(reconstructed, original, mask, normalize=True)
         coords = flags & (np.abs(rec - org) > 1e-3)
         analytic = mim_loss_grad(rec, org, mask)
         numeric = _central_diff(lambda r: mim_loss(r, org, mask), rec, epsilon, coords=coords)

@@ -21,6 +21,7 @@ __all__ = [
     "row_softmax",
     "topk_rows",
     "l2_normalize_rows",
+    "minmax_normalize",
 ]
 
 
@@ -116,17 +117,22 @@ class TopKResult:
         return self.indices.shape[1]
 
 
+def _unit_rows(data: np.ndarray, side: str = "") -> np.ndarray:
+    """``data`` with every row divided by its L2 norm; a zero row is rejected."""
+    norms = np.linalg.norm(data, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"row {zero[0]}{side} has zero norm and cannot be normalized")
+    return data / norms[:, None]
+
+
 def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     """Scale each row to unit L2 norm.
 
     Zero rows are rejected rather than mapped to zero similarity: they
     indicate an upstream feature-export bug.
     """
-    norms = np.linalg.norm(m.data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateInputError(f"row {zero[0]} has zero norm and cannot be normalized")
-    return EmbeddingMatrix(m.data / norms[:, None])
+    return EmbeddingMatrix(_unit_rows(m.data))
 
 
 def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
@@ -145,15 +151,25 @@ def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
     """
     if a.n_cols != b.n_cols:
         raise ShapeError(f"feature dimensions differ: {a.n_cols} vs {b.n_cols}")
-    unit = []
-    for side, m in (("a", a), ("b", b)):
-        norms = np.linalg.norm(m.data, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateInputError(f"row {zero[0]} of {side} has zero norm")
-        unit.append(m.data / norms[:, None])
-    an, bn = unit
-    return ScoreMatrix(an @ bn.T)
+    return ScoreMatrix(_unit_rows(a.data, " of a") @ _unit_rows(b.data, " of b").T)
+
+
+def minmax_normalize(data: np.ndarray) -> np.ndarray:
+    """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros.
+
+    A value span beyond the float64 maximum cannot be rescaled and raises
+    ``ValidationError``.
+    """
+    lo, hi = data.min(), data.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span):
+        raise ValidationError(
+            f"cannot min-max rescale: the span from {float(lo)!r} to {float(hi)!r} is not finite"
+        )
+    if span == 0:
+        return np.zeros_like(data)
+    return (data - lo) / span
 
 
 def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matrix_ops import EmbeddingMatrix, ScoreMatrix, topk_rows
+from .matrix_ops import EmbeddingMatrix, ScoreMatrix, minmax_normalize, topk_rows
 
 __all__ = ["SelectedFeatures", "select_topk_features", "rerank_selected"]
 
@@ -89,10 +89,7 @@ def rerank_selected(selected: SelectedFeatures, match_scores: np.ndarray) -> Sco
         raise ShapeError(
             f"match scores shape {scores.shape} does not match selection shape {selected.indices.shape}"
         )
-    g = selected.guidance.data
-    g_min, g_max = g.min(), g.max()
-    span = g_max - g_min
-    out = (g - g_min) / span if span > 0 else np.zeros_like(g)
+    out = minmax_normalize(selected.guidance.data)
     banded = scores - scores.min() + _CANDIDATE_BAND_OFFSET
     np.put_along_axis(out, selected.indices, banded, axis=1)
     return ScoreMatrix(out)

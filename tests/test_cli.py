@@ -12,6 +12,16 @@ def write_gt(path, n, gallery=None):
     write_manifest(path, GroundTruth.identity(n) if gallery is None else gallery)
 
 
+def assert_rejects_naming(argv, path, capsys):
+    """The command exits 1 with ``path`` in its error and no traceback or warning."""
+    rc = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert "warning" not in err
+
+
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 2
@@ -57,6 +67,14 @@ class TestEval:
         rc = run_cli(["eval", "--scores", str(bad), "--gt", str(gt)])
         assert rc == 1
         assert "offset 0" in capsys.readouterr().err
+        # A well-formed matrix of the wrong shape is named before any k is
+        # clipped to its gallery.
+        small = tmp_path / "small.npy"
+        write_matrix(np.eye(2), small)
+        write_gt(gt, 3)
+        assert_rejects_naming(
+            ["eval", "--scores", str(small), "--gt", str(gt), "--k", "1,5"], small, capsys
+        )
 
 
 class TestSim:
@@ -76,6 +94,17 @@ class TestSim:
         capsys.readouterr()
         expected = cosine_similarity(EmbeddingMatrix(q), EmbeddingMatrix(g)).data
         np.testing.assert_array_equal(load_matrix(tmp_path / "s.npy"), expected)
+
+    def test_dimension_mismatch_names_gallery(self, tmp_path, capsys):
+        write_matrix(np.ones((2, 4)), tmp_path / "q.npy")
+        write_matrix(np.ones((2, 3)), tmp_path / "g.npy")
+        argv = [
+            "sim",
+            "--queries", str(tmp_path / "q.npy"),
+            "--gallery", str(tmp_path / "g.npy"),
+            "--out", str(tmp_path / "s.npy"),
+        ]
+        assert_rejects_naming(argv, tmp_path / "g.npy", capsys)
 
 
 class TestEnsembleCommand:
@@ -144,6 +173,26 @@ class TestEnsembleCommand:
         assert rc == 1
         assert "metric k must be in [1, 2], got 5" in capsys.readouterr().err
 
+    def test_shape_mismatch_names_file(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        write_matrix(np.eye(3), tmp_path / "good.npy")
+        write_matrix(np.eye(2), tmp_path / "bad.npy")
+        manifest.write_text(json.dumps({"n_queries": 3, "n_gallery": 3, "relevant": [[0], [1], [2]]}))
+        base = ["ensemble", "--manifest", str(manifest), "--out", str(tmp_path / "f.npy")]
+        bad = str(tmp_path / "bad.npy")
+        good = str(tmp_path / "good.npy")
+        # A --model file that is the only model, one after a good model, and
+        # a warm start of the wrong shape.
+        for extra in (["--model", bad], ["--model", good, "--model", bad],
+                      ["--model", good, "--init-matrix", bad]):
+            assert_rejects_naming(base + extra, bad, capsys)
+        # A manifest model of the wrong shape.
+        manifest.write_text(json.dumps({
+            "n_queries": 3, "n_gallery": 3, "relevant": [[0], [1], [2]],
+            "models": [{"name": "bad", "path": "bad.npy"}],
+        }))
+        assert_rejects_naming(base + ["--model", good], bad, capsys)
+
 
 class TestSelectCommand:
     def test_writes_index_rows(self, tmp_path, capsys):
@@ -159,6 +208,19 @@ class TestSelectCommand:
         assert rc == 0
         capsys.readouterr()
         assert (tmp_path / "sel.csv").read_text() == "1,2\n"
+
+
+    def test_shape_mismatch_names_guidance(self, tmp_path, capsys):
+        write_matrix(np.eye(2), tmp_path / "f.npy")
+        write_matrix(np.array([[0.2, 0.9, 0.5]]), tmp_path / "g.npy")
+        argv = [
+            "select",
+            "--features", str(tmp_path / "f.npy"),
+            "--guidance", str(tmp_path / "g.npy"),
+            "--k", "1",
+            "--out", str(tmp_path / "sel.csv"),
+        ]
+        assert_rejects_naming(argv, tmp_path / "g.npy", capsys)
 
 
 class TestLhpSample:

@@ -1,4 +1,4 @@
-"""Every walkthrough under demos/ runs to a clean exit against the library."""
+"""Every walkthrough under demos/ runs to a clean exit, warnings as errors."""
 
 import os
 import pathlib
@@ -19,7 +19,7 @@ def test_demos_found():
 def test_demo_runs(demo, tmp_path):
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         # Demos that make temporary directories make them under tmp_path.
         env={**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)},

@@ -10,7 +10,7 @@ from rankfuse.ensemble import (
     minmax_normalize,
     sweep_weight,
 )
-from rankfuse.errors import ParameterError, ShapeError, ValidationError
+from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from rankfuse.matrix_ops import ScoreMatrix
 from rankfuse.metrics import GroundTruth, recall_at_k
 
@@ -121,6 +121,14 @@ class TestSweepWeight:
                 GroundTruth.identity(3),
                 WeightGrid((0.5,)),
             )
+        # Matrices that agree with each other but not with the ground truth.
+        with pytest.raises(RankfuseError):
+            sweep_weight(
+                ScoreMatrix(np.zeros((2, 2))),
+                ScoreMatrix(np.zeros((2, 2))),
+                GroundTruth.identity(3),
+                WeightGrid((0.5,)),
+            )
 
 
 class TestIterativeEnsemble:
@@ -216,11 +224,11 @@ class TestIterativeEnsemble:
         assert recall_at_k(fused, gt, 1) == 1.0
 
     def test_normalized_overflow_rejected(self):
-        # The span exceeds the float64 maximum, so min-max gives NaN.
+        # The span exceeds the float64 maximum, so min-max cannot rescale it;
+        # it must raise without a numpy overflow warning.
         wide = ScoreMatrix([[-1e308, 1e308], [1e308, -1e308]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError):
-                iterative_ensemble([wide], GroundTruth.identity(2), WeightGrid((0.5,)))
+        with pytest.raises(ValidationError):
+            iterative_ensemble([wide], GroundTruth.identity(2), WeightGrid((0.5,)))
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ParameterError):

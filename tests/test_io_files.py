@@ -66,12 +66,16 @@ class TestArrayFormat:
         np.testing.assert_array_equal(load_matrix(theirs), arr)
 
     def test_float32_widened(self, tmp_path):
-        arr = np.random.default_rng(2).random((3, 2)).astype(np.float32)
-        p = tmp_path / "f32.npy"
-        np.save(p, arr)
-        out = load_matrix(p)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, arr.astype(np.float64))
+        # float32 is widened and float64 kept; either way the result is an
+        # owned, writable float64 array.
+        for dtype in (np.float32, np.float64):
+            arr = np.random.default_rng(2).random((3, 2)).astype(dtype)
+            p = tmp_path / "f.npy"
+            np.save(p, arr)
+            out = load_matrix(p)
+            assert out.dtype == np.float64
+            assert out.flags.writeable and out.flags.owndata
+            np.testing.assert_array_equal(out, arr.astype(np.float64))
 
     def test_bad_magic_offset_0(self, tmp_path):
         p = tmp_path / "bad.npy"
@@ -137,8 +141,13 @@ class TestArrayFormat:
         arr = np.zeros((2, 2))
         arr[1, 1] = np.nan
         np.save(p, arr)
-        with pytest.raises(ValidationError, match=r"\(1, 1\)"):
+        with pytest.raises(ValidationError, match=re.escape(str(p)) + r".*\(1, 1\)"):
             load_matrix(p)
+        # The CSV reader names the file and the coordinate the same way.
+        p = tmp_path / "inf.csv"
+        p.write_text("1,2\n3,inf\n")
+        with pytest.raises(ValidationError, match=re.escape(str(p)) + r".*\(1, 1\)"):
+            load_matrix(p, "csv")
 
 
 class TestCsvFormat:
@@ -226,8 +235,8 @@ class TestManifests:
         # A missing count, then counts that are not positive integers,
         # relevant-map keys that name no query (past the last one, and a
         # zero-padded spelling of query 1), a 'models' value that is not a
-        # list, and model entries whose path is not a string or whose format
-        # is not a known one.
+        # list, and model entries whose path is not a string, whose format
+        # is not a known one or whose name is not a string.
         for doc, key in (
             ({"n_queries": 1, "relevant": [[0]]}, "n_gallery"),
             ({"n_queries": "x", "n_gallery": 1, "relevant": [[0]]}, "n_queries"),
@@ -242,6 +251,8 @@ class TestManifests:
             ({**base, "models": [{"path": None}]}, r"models\[0\]"),
             ({**base, "models": [{"path": "m.npy", "format": 5}]}, r"models\[0\]"),
             ({**base, "models": [{"path": "m.npy", "format": "bogus"}]}, r"models\[0\]"),
+            ({**base, "models": [{"path": "m.npy", "name": None}]}, r"models\[0\]"),
+            ({**base, "models": [{"path": "m.npy", "name": 5}]}, r"models\[0\]"),
         ):
             p.write_text(json.dumps(doc))
             with pytest.raises(FormatError, match=key):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rankfuse.errors import ParameterError, ShapeError
+from rankfuse.errors import ParameterError, ShapeError, ValidationError
 from rankfuse.matrix_ops import EmbeddingMatrix, ScoreMatrix, topk_rows
 from rankfuse.selection import rerank_selected, select_topk_features
 
@@ -112,3 +112,11 @@ class TestRerankSelected:
         selected = select_topk_features(features, guidance, k=2)
         with pytest.raises(ShapeError):
             rerank_selected(selected, np.ones((3, 3)))
+
+    def test_overflowing_guidance_rejected(self):
+        # The guidance span exceeds the float64 maximum, so the non-candidate
+        # band cannot be min-max rescaled; no numpy overflow warning either.
+        guidance = ScoreMatrix([[-1e308, 1e308], [1e308, -1e308]])
+        selected = select_topk_features(EmbeddingMatrix(np.eye(2)), guidance, k=1)
+        with pytest.raises(ValidationError):
+            rerank_selected(selected, np.ones((2, 1)))
