@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 _MAGIC = b"\x93NUMPY"
-_SUPPORTED_DESCR = {"<f4": np.float32, "<f8": np.float64}
+_SUPPORTED_DESCR = ("<f4", "<f8")
 
 
 @dataclass(frozen=True)
@@ -51,50 +52,68 @@ class ModelEntry:
 
 def _load_array(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 6 or data[:6] != _MAGIC:
-        raise FormatError(f"{path}: bad magic at offset 0 (not an array file)")
-    if len(data) < 10:
-        raise FormatError(f"{path}: truncated before header length at offset {len(data)}")
-    major, minor = data[6], data[7]
-    if (major, minor) != (1, 0):
-        raise FormatError(f"{path}: unsupported format version {major}.{minor} at offset 6")
-    header_len = int.from_bytes(data[8:10], "little")
-    header_end = 10 + header_len
-    if len(data) < header_end:
-        raise FormatError(f"{path}: truncated header at offset 10 (declared {header_len} bytes)")
-    try:
-        header = ast.literal_eval(data[10:header_end].decode("latin-1").strip())
-    except (ValueError, SyntaxError) as exc:
-        raise FormatError(f"{path}: unparseable header at offset 10: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header at offset 10 is not a dict")
+        head = fh.read(10)
+        if head[:6] != _MAGIC:
+            raise FormatError(f"{path}: bad magic at offset 0 (not an array file)")
+        if len(head) < 10:
+            raise FormatError(f"{path}: truncated before header length at offset {len(head)}")
+        major, minor = head[6], head[7]
+        if (major, minor) != (1, 0):
+            raise FormatError(f"{path}: unsupported format version {major}.{minor} at offset 6")
+        header_len = int.from_bytes(head[8:10], "little")
+        header_end = 10 + header_len
+        raw_header = fh.read(header_len)
+        if len(raw_header) < header_len:
+            raise FormatError(
+                f"{path}: truncated header at offset 10 (declared {header_len} bytes)"
+            )
+        try:
+            header = ast.literal_eval(raw_header.decode("latin-1").strip())
+        except (ValueError, SyntaxError) as exc:
+            raise FormatError(f"{path}: unparseable header at offset 10: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header at offset 10 is not a dict")
 
-    descr = header.get("descr")
-    if descr not in _SUPPORTED_DESCR:
-        raise FormatError(
-            f"{path}: unsupported dtype {descr!r} (need little-endian float32/float64)"
-        )
-    if header.get("fortran_order") is not False:
-        raise FormatError(f"{path}: fortran_order must be false (row-major only)")
-    shape = header.get("shape")
-    if (
-        not isinstance(shape, tuple)
-        or len(shape) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
-    ):
-        raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
+        descr = header.get("descr")
+        if descr not in _SUPPORTED_DESCR:
+            raise FormatError(
+                f"{path}: unsupported dtype {descr!r} (need little-endian float32/float64)"
+            )
+        if header.get("fortran_order") is not False:
+            raise FormatError(f"{path}: fortran_order must be false (row-major only)")
+        shape = header.get("shape")
+        if (
+            not isinstance(shape, tuple)
+            or len(shape) != 2
+            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
+        ):
+            raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
 
-    dtype = np.dtype(_SUPPORTED_DESCR[descr])
-    expected = shape[0] * shape[1] * dtype.itemsize
-    if len(data) - header_end != expected:
-        raise FormatError(
-            f"{path}: payload at offset {header_end} is {len(data) - header_end} bytes, "
-            f"header shape {shape} implies {expected}"
-        )
-    # astype copies, so the result owns its memory and is writable.
-    arr = np.frombuffer(data, dtype=dtype, offset=header_end).reshape(shape)
-    return _as_matrix(arr.astype(np.float64), str(path))
+        dtype = np.dtype(descr)
+        expected = shape[0] * shape[1] * dtype.itemsize
+        # A regular file's size is known up front, so a wrong payload length
+        # is rejected before the array is allocated; a pipe is checked as it
+        # is read. The payload goes straight into the array, with no
+        # whole-file buffer.
+        st = os.fstat(fh.fileno())
+        payload_len = st.st_size - header_end if stat.S_ISREG(st.st_mode) else expected
+        if payload_len == expected:
+            try:
+                arr = np.empty(shape, dtype=dtype)
+            except MemoryError as exc:
+                raise FormatError(
+                    f"{path}: header shape {shape} implies {expected} payload bytes, "
+                    "more than can be allocated"
+                ) from exc
+            payload_len = fh.readinto(memoryview(arr).cast("B")) + len(fh.read())
+        if payload_len != expected:
+            raise FormatError(
+                f"{path}: payload at offset {header_end} is {payload_len} bytes, "
+                f"header shape {shape} implies {expected}"
+            )
+    # A float32 payload is widened into a new array, so the result is always
+    # an owned, writable float64 array.
+    return _as_matrix(arr, str(path))
 
 
 def _write_array(arr: np.ndarray, path) -> None:

@@ -317,8 +317,9 @@ def mlm_loss_grad(batch: MlmBatch) -> np.ndarray:
 def _mim_inputs(reconstructed, original, mask: MaskSpec, normalize: bool):
     """Validated (rec, org, flags, per-image masked counts).
 
-    With ``normalize`` on, every image must have a masked element, since its
-    contribution is a mean over them.
+    The mask must select at least one element. With ``normalize`` on, every
+    image must have a masked element, since its contribution is a mean over
+    them.
     """
     rec = reconstructed.data if isinstance(reconstructed, ImageTensor) else ImageTensor(reconstructed).data
     org = original.data if isinstance(original, ImageTensor) else ImageTensor(original).data
@@ -332,6 +333,8 @@ def _mim_inputs(reconstructed, original, mask: MaskSpec, normalize: bool):
     counts = flags.reshape(rec.shape[0], -1).sum(axis=1)
     if normalize and np.any(counts == 0):
         raise ParameterError(f"image {int(np.flatnonzero(counts == 0)[0])} has no masked elements")
+    if not counts.any():
+        raise ParameterError("mask selects no elements")
     return rec, org, flags, counts
 
 
@@ -355,8 +358,6 @@ def mim_loss(
     if normalize:
         per_image = (absdiff * flags.reshape(n, -1)).sum(axis=1) / counts
     else:
-        if not counts.any():
-            raise ParameterError("mask selects no elements")
         per_image = absdiff.sum(axis=1)
     return float(per_image.mean())
 

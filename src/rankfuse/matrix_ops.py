@@ -154,19 +154,26 @@ def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
     return ScoreMatrix(_unit_rows(a.data, " of a") @ _unit_rows(b.data, " of b").T)
 
 
+def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
+    """``(min, max - min)`` of ``data``; a span beyond the float64 maximum is
+    rejected with ``ValidationError`` and no numpy overflow warning."""
+    lo, hi = data.min(), data.max()
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    if not np.isfinite(span):
+        raise ValidationError(
+            f"{what}: the span from {float(lo)!r} to {float(hi)!r} is not finite"
+        )
+    return lo, span
+
+
 def minmax_normalize(data: np.ndarray) -> np.ndarray:
     """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros.
 
     A value span beyond the float64 maximum cannot be rescaled and raises
     ``ValidationError``.
     """
-    lo, hi = data.min(), data.max()
-    with np.errstate(over="ignore"):
-        span = hi - lo
-    if not np.isfinite(span):
-        raise ValidationError(
-            f"cannot min-max rescale: the span from {float(lo)!r} to {float(hi)!r} is not finite"
-        )
+    lo, span = _value_span(data, "cannot min-max rescale")
     if span == 0:
         return np.zeros_like(data)
     return (data - lo) / span
@@ -193,17 +200,38 @@ def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:
 def topk_rows(s: ScoreMatrix, k: int) -> TopKResult:
     """The k largest entries of each row, in descending order.
 
-    Ties are broken by the lower gallery index so results are deterministic
-    across runs and thread schedules.
+    Equal values (``0.0`` and ``-0.0`` included) go to the lower gallery
+    index, both in which columns are kept and in their order, so the result
+    is exactly the first k columns of a stable descending sort of the row.
+
+    No row is sorted in full. A partial selection (``argpartition``) finds
+    each row's k largest values in linear time; a row whose k-th value also
+    occurs outside the kept columns is rebuilt from the values above it plus
+    its lowest-index ties; then only the k kept columns are ordered. The cost
+    is O(m) per row plus O(k log k) for the order, against O(m log m) for a
+    full sort of an m-column row.
     """
+    data = s.data
     n_cols = s.n_gallery
     if not 1 <= k <= n_cols:
         raise ParameterError(f"k must be in [1, {n_cols}], got {k}")
     if k == 1:
-        # argmax returns the first (lowest-index) maximum: same tie-break as
-        # the stable argsort below.
-        idx = np.argmax(s.data, axis=1).reshape(-1, 1)
+        # argmax returns the first (lowest-index) maximum.
+        idx = np.argmax(data, axis=1).reshape(-1, 1)
     else:
-        idx = np.argsort(-s.data, axis=1, kind="stable")[:, :k]
-    vals = np.take_along_axis(s.data, idx, axis=1)
+        idx = np.argpartition(data, n_cols - k, axis=1)[:, n_cols - k:]
+        # argpartition leaves the k-th largest value in its sorted slot, the
+        # first kept column; which of its ties it kept is arbitrary.
+        kth = np.take_along_axis(data, idx[:, :1], axis=1)
+        tied = np.flatnonzero(np.count_nonzero(data >= kth, axis=1) > k)
+        if tied.size:
+            rows, v = data[tied], kth[tied]
+            above = rows > v
+            equal = rows == v
+            room = k - np.count_nonzero(above, axis=1, keepdims=True)
+            keep = above | (equal & (np.cumsum(equal, axis=1) <= room))
+            idx[tied] = np.nonzero(keep)[1].reshape(-1, k)
+        vals = np.take_along_axis(data, idx, axis=1)
+        idx = np.take_along_axis(idx, np.lexsort((idx, -vals), axis=1), axis=1)
+    vals = np.take_along_axis(data, idx, axis=1)
     return TopKResult(indices=idx, values=vals)

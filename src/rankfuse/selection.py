@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .matrix_ops import EmbeddingMatrix, ScoreMatrix, minmax_normalize, topk_rows
+from .matrix_ops import (
+    EmbeddingMatrix,
+    ScoreMatrix,
+    _as_matrix,
+    _value_span,
+    minmax_normalize,
+    topk_rows,
+)
 
 __all__ = ["SelectedFeatures", "select_topk_features", "rerank_selected"]
 
@@ -84,12 +91,13 @@ def rerank_selected(selected: SelectedFeatures, match_scores: np.ndarray) -> Sco
     match scores and always outrank non-candidates; non-candidates keep their
     guidance-score ordering.
     """
-    scores = np.asarray(match_scores, dtype=np.float64)
+    scores = _as_matrix(match_scores, "match scores")
     if scores.shape != selected.indices.shape:
         raise ShapeError(
             f"match scores shape {scores.shape} does not match selection shape {selected.indices.shape}"
         )
+    lo, _ = _value_span(scores, "cannot band the match scores")
     out = minmax_normalize(selected.guidance.data)
-    banded = scores - scores.min() + _CANDIDATE_BAND_OFFSET
+    banded = scores - lo + _CANDIDATE_BAND_OFFSET
     np.put_along_axis(out, selected.indices, banded, axis=1)
     return ScoreMatrix(out)

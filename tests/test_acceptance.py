@@ -120,7 +120,7 @@ def test_c03_view_sampler_statistics_and_determinism():
 
 def test_c04_selection_matches_brute_force():
     """Guided top-k selection equals a full-sort oracle on 1000 random 20x50
-    instances, exact index equality, in < 5 s."""
+    instances and 500 tie-heavy ones, exact index equality, in < 5 s."""
     start = time.monotonic()
     rng = np.random.default_rng(7)
     features = EmbeddingMatrix(rng.standard_normal((50, 4)))
@@ -130,9 +130,23 @@ def test_c04_selection_matches_brute_force():
         selected = select_topk_features(features, ScoreMatrix(guidance), k=k)
         oracle = np.array([brute_force_row_order(row)[:k] for row in guidance])
         np.testing.assert_array_equal(selected.indices, oracle)
+    # Tie-heavy guidance: 1-5 integer levels with some all-equal rows, or
+    # 0.0 mixed with -0.0; k lands inside tie runs and reaches k = m.
+    for i in range(500):
+        if i % 2:
+            guidance = rng.integers(0, 1 + i % 5, (20, 50)).astype(float)
+            guidance[rng.random(20) < 0.2] = 1.0
+        else:
+            guidance = rng.choice([0.0, -0.0, 1.0], (20, 50), p=[0.45, 0.45, 0.1])
+        k_ties = (1, 10, 23, 49, 50)[i % 5]
+        selected = select_topk_features(features, ScoreMatrix(guidance), k=k_ties)
+        oracle = np.array([brute_force_row_order(row)[:k_ties] for row in guidance])
+        np.testing.assert_array_equal(selected.indices, oracle)
+        scores = np.take_along_axis(guidance, oracle, axis=1)
+        assert selected.guidance_scores.tobytes() == scores.tobytes()
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-    print(f"\n[PASS] feature selection: 1000 instances match full-sort oracle ({elapsed:.2f}s)")
+    print(f"\n[PASS] feature selection: 1500 instances match full-sort oracle ({elapsed:.2f}s)")
 
 
 def test_c05_first_iteration_ranking_invariance():

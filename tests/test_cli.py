@@ -6,6 +6,7 @@ from rankfuse.cli import run_cli
 from rankfuse.io_files import load_matrix, write_manifest, write_matrix
 from rankfuse.matrix_ops import EmbeddingMatrix, cosine_similarity
 from rankfuse.metrics import GroundTruth
+from test_matrix_ops import brute_force_topk
 
 
 def write_gt(path, n, gallery=None):
@@ -75,6 +76,11 @@ class TestEval:
         assert_rejects_naming(
             ["eval", "--scores", str(small), "--gt", str(gt), "--k", "1,5"], small, capsys
         )
+        # A file cut off mid-payload is named, without a traceback.
+        cut = tmp_path / "cut.npy"
+        write_matrix(np.eye(3), cut)
+        cut.write_bytes(cut.read_bytes()[:-5])
+        assert_rejects_naming(["eval", "--scores", str(cut), "--gt", str(gt)], cut, capsys)
 
 
 class TestSim:
@@ -209,6 +215,31 @@ class TestSelectCommand:
         capsys.readouterr()
         assert (tmp_path / "sel.csv").read_text() == "1,2\n"
 
+    def test_tie_heavy_guidance_matches_oracle(self, tmp_path, capsys):
+        # Three integer levels, all-equal rows and rows of 0.0 mixed with
+        # -0.0, read from an array file and from CSV.
+        rng = np.random.default_rng(12)
+        guidance = rng.integers(0, 3, (30, 40)).astype(float)
+        guidance[::4] = 1.0
+        guidance[1::4] = rng.choice([0.0, -0.0], (8, 40))
+        write_matrix(np.eye(40), tmp_path / "f.npy")
+        for name, fmt in (("g.npy", "array"), ("g.csv", "csv")):
+            write_matrix(guidance, tmp_path / name, fmt)
+            for k in (7, 40):
+                rc = run_cli([
+                    "select",
+                    "--features", str(tmp_path / "f.npy"),
+                    "--guidance", str(tmp_path / name),
+                    "--k", str(k),
+                    "--out", str(tmp_path / "sel.csv"),
+                ])
+                assert rc == 0
+                capsys.readouterr()
+                rows = [
+                    [int(c) for c in line.split(",")]
+                    for line in (tmp_path / "sel.csv").read_text().splitlines()
+                ]
+                np.testing.assert_array_equal(rows, brute_force_topk(guidance, k))
 
     def test_shape_mismatch_names_guidance(self, tmp_path, capsys):
         write_matrix(np.eye(2), tmp_path / "f.npy")

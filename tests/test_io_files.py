@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -128,6 +129,37 @@ class TestArrayFormat:
         p.write_bytes(npy_bytes(shape=(2, 2), payload=b"\x00" * 7))
         with pytest.raises(FormatError, match="payload"):
             load_matrix(p)
+
+    def test_payload_too_long(self, tmp_path):
+        p = tmp_path / "long.npy"
+        p.write_bytes(npy_bytes(shape=(2, 2), payload=b"\x00" * 33))
+        expected = r"payload at offset 128 is 33 bytes, header shape \(2, 2\) implies 32"
+        with pytest.raises(FormatError, match=expected):
+            load_matrix(p)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_payload_read_from_a_pipe(self, tmp_path):
+        # A pipe has no size up front; its payload length is checked as read.
+        arr = np.arange(6.0).reshape(2, 3)
+        write_matrix(arr, tmp_path / "m.npy")
+        good = (tmp_path / "m.npy").read_bytes()
+        cases = ((good, None), (good + b"\x00", "is 49 bytes"), (good[:-1], "is 47 bytes"))
+        # A header shape far beyond memory, with a one-element payload: no
+        # allocation failure escapes, whether or not the allocation succeeds.
+        huge = npy_bytes(shape=(10**6, 10**6), payload=b"\x00" * 8)
+        cases += ((huge, r"header shape \(1000000, 1000000\)"),)
+        for payload, error in cases:
+            r, w = os.pipe()
+            try:
+                os.write(w, payload)
+                os.close(w)
+                if error is None:
+                    np.testing.assert_array_equal(load_matrix(f"/dev/fd/{r}"), arr)
+                else:
+                    with pytest.raises(FormatError, match=error):
+                        load_matrix(f"/dev/fd/{r}")
+            finally:
+                os.close(r)
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "trunc.npy"

@@ -15,6 +15,7 @@ from rankfuse.losses import (
     itc_loss,
     itm_loss,
     mim_loss,
+    mim_loss_grad,
     mlm_loss,
     total_loss,
 )
@@ -191,6 +192,16 @@ class TestImageReconstructionLoss:
         img = np.zeros((1, 2, 2))
         with pytest.raises(ParameterError):
             mim_loss(img, img, MaskSpec(np.zeros((1, 2, 2), dtype=bool)))
+
+    def test_empty_mask_rejected_by_loss_and_gradient(self):
+        img = np.zeros((1, 2, 2))
+        mask = MaskSpec(np.zeros((1, 2, 2), dtype=bool))
+        for normalize in (True, False):
+            for fn in (mim_loss, mim_loss_grad):
+                with pytest.raises(ParameterError):
+                    fn(img, img, mask, normalize=normalize)
+        with pytest.raises(ParameterError):
+            finite_diff_grad_check(LossKind.MIM, (img, img, mask))
 
     def test_image_tensor_rejects_nan(self):
         with pytest.raises(ValidationError):

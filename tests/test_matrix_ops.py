@@ -144,6 +144,20 @@ class TestTopkRows:
                 np.testing.assert_array_equal(
                     topk_rows(s, k).indices, brute_force_topk(data, k)
                 )
+        # Tie-heavy rows: 1-5 integer levels, all-equal rows, 0.0 mixed with
+        # -0.0. Every k is tried, so k lands inside tie runs and at k = m;
+        # the values must match bit for bit, signed zeros included.
+        tie_heavy = [rng.integers(0, levels, (20, 50)).astype(float) for levels in range(1, 6)]
+        tie_heavy.append(np.full((20, 50), -2.5))
+        tie_heavy.append(rng.choice([0.0, -0.0], (20, 50)))
+        tie_heavy.append(rng.choice([0.0, -0.0, 1.0, -1.0], (20, 50)))
+        for data in tie_heavy:
+            s = ScoreMatrix(data)
+            for k in range(1, 51):
+                res = topk_rows(s, k)
+                oracle = brute_force_topk(data, k)
+                np.testing.assert_array_equal(res.indices, oracle)
+                assert res.values.tobytes() == np.take_along_axis(data, oracle, 1).tobytes()
 
     def test_scale_ranking_invariance(self):
         rng = np.random.default_rng(7)

@@ -120,3 +120,10 @@ class TestRerankSelected:
         selected = select_topk_features(EmbeddingMatrix(np.eye(2)), guidance, k=1)
         with pytest.raises(ValidationError):
             rerank_selected(selected, np.ones((2, 1)))
+
+    def test_overflowing_match_scores_rejected(self):
+        # The match-score span exceeds the float64 maximum: the error names
+        # the match scores, not the output matrix, and numpy does not warn.
+        selected = select_topk_features(EmbeddingMatrix(np.eye(2)), ScoreMatrix(np.eye(2)), k=1)
+        with pytest.raises(ValidationError, match="match scores"):
+            rerank_selected(selected, np.array([[-1e308], [1e308]]))
