@@ -3,9 +3,12 @@
 Starting from S = 0, each model's matrix t is folded in as
 S <- w * S + (1 - w) * t, where w is picked per step by sweeping a weight
 grid and keeping the value that maximizes a scoring function (Recall@k) on
-held-out ground truth. Keeping 1 in the grid makes every step a no-op option,
-so the tuning metric can never regress. The procedure is order-dependent on
-purpose: later models gradually refine the accumulated matrix.
+held-out ground truth. The default grid stops at 0.95, so every step must
+take in some of its model and the tuning metric can fall from one step to
+the next. Adding 1 to the grid makes every step optional (w = 1 keeps the
+accumulator), and then the metric never falls. The procedure is
+order-dependent on purpose: later models gradually refine the accumulated
+matrix.
 
 Because the fused operand at the first step is all-zero, every w < 1 there
 produces the same ranking (positive rescaling of the first model), and the
@@ -21,7 +24,15 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .matrix_ops import ScoreMatrix, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
-from .metrics import GroundTruth, RetrievalMetrics, metrics_report, query_ranks
+from .metrics import (
+    GroundTruth,
+    RetrievalMetrics,
+    _best_relevant,
+    _check_covers,
+    _count_ranks,
+    _is_integer,
+    metrics_report,
+)
 
 __all__ = [
     "DEFAULT_WEIGHT_GRID",
@@ -37,6 +48,10 @@ __all__ = [
 
 # Default sweep values, densest just below 1 where retention pays off most.
 DEFAULT_WEIGHT_GRID = (0.0, 0.5, 0.8, 0.85, 0.875, 0.9, 0.9125, 0.925, 0.9375, 0.95)
+
+# Cells in one row block of the sweep: a float64 block buffer is 256 KB, so
+# a block of S and T plus both blend buffers stays in cache for every w.
+_BLOCK_CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -69,8 +84,8 @@ class RecallAtK:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"metric k must be >= 1, got {self.k}")
+        if not _is_integer(self.k) or self.k < 1:
+            raise ParameterError(f"metric k must be an integer >= 1, got {self.k!r}")
 
     @property
     def name(self) -> str:
@@ -95,6 +110,33 @@ class EnsembleTrace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
+def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
+    """Recall@k of ``w * s + (1.0 - w) * t`` for every w in ``weights``, in order.
+
+    The best relevant scores come from the (query, item) pairs alone, once
+    for the whole grid. The rows are then walked in blocks: each block is
+    blended into two reused buffers and ranked for every w while its rows of
+    s and t are still in cache, and the hits are summed per w.
+    """
+    n, m = t.shape
+    w = np.array(weights)[:, None]
+    pairs = gt._queries, gt._items
+    best, first = _best_relevant(w * s[pairs] + (1.0 - w) * t[pairs], gt)
+    rows = min(n, max(1, _BLOCK_CELLS // m))
+    blend, part = np.empty((rows, m)), np.empty((rows, m))
+    hits = [0] * len(weights)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        a, b = blend[: hi - lo], part[: hi - lo]
+        for i, wi in enumerate(weights):
+            # The same operations, in the same order, as w * s + (1.0 - w) * t.
+            np.multiply(wi, s[lo:hi], out=a)
+            np.multiply(1.0 - wi, t[lo:hi], out=b)
+            np.add(a, b, out=a)
+            hits[i] += int(np.count_nonzero(_count_ranks(a, best[i, lo:hi], first[i, lo:hi]) < k))
+    return [h / n for h in hits]
+
+
 def sweep_weight(
     s_prev: ScoreMatrix,
     t_model: ScoreMatrix,
@@ -104,9 +146,12 @@ def sweep_weight(
 ) -> tuple[float, float]:
     """Pick the retention weight maximizing the metric of w*s_prev + (1-w)*t_model.
 
-    Every w in the grid is evaluated in order, each scored by one
-    :func:`rankfuse.metrics.query_ranks` pass over the plain blended array,
-    which is finite because both inputs are; ties go to the smallest w.
+    Every w in the grid is scored by the recall kernel of
+    :mod:`rankfuse.metrics` on the plain blend, which is finite because both
+    inputs are; ties go to the smallest w. The sweep walks blocks of query
+    rows and scores the whole grid on each block while it is in cache, so
+    it never builds a full-size blend; the values are the same as ranking
+    each full blend with :func:`rankfuse.metrics.query_ranks`.
     """
     if s_prev.data.shape != t_model.data.shape:
         raise ShapeError(
@@ -114,12 +159,8 @@ def sweep_weight(
         )
     if metric.k > t_model.n_gallery:
         raise ParameterError(f"metric k must be in [1, {t_model.n_gallery}], got {metric.k}")
-
-    def evaluate(w: float) -> float:
-        ranks = query_ranks(w * s_prev.data + (1.0 - w) * t_model.data, gt)
-        return int(np.count_nonzero(ranks < metric.k)) / t_model.n_queries
-
-    values = [evaluate(w) for w in grid.weights]
+    _check_covers(t_model.data.shape, gt)
+    values = _sweep_values(s_prev.data, t_model.data, gt, grid.weights, metric.k)
     # Grid order is ascending, so the first maximum is the smallest maximizer.
     best_i = values.index(max(values))
     return grid.weights[best_i], values[best_i]

@@ -4,7 +4,12 @@ A search succeeds for a query when any of its relevant gallery items appears
 among the top-k ranked columns of its score row. Ranking ties are broken by
 the lower gallery index, the same order :func:`rankfuse.matrix_ops.topk_rows`
 produces. Every recall figure, including the weight sweep's, comes from one
-kernel, :func:`query_ranks`, which counts ranks without sorting any row.
+kernel, which counts ranks without sorting any row. It has two halves:
+:func:`_best_relevant` finds each query's best relevant score from its
+(query, item) pairs alone, and :func:`_count_ranks` counts that score's rank
+over any block of rows. :func:`query_ranks` runs both on a whole matrix; the
+weight sweep in :mod:`rankfuse.ensemble` runs the first once for its whole
+grid and the second on one row block and one weight at a time.
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .matrix_ops import ScoreMatrix, topk_rows  # noqa: F401  perfbench/tracer.p
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
 
 
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; ``bool`` is not an index or a cutoff."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Per-query sets of relevant gallery indices.
@@ -28,7 +38,7 @@ class GroundTruth:
     ``relevant[i]`` is the non-empty set of gallery items that count as a
     correct retrieval for query i; every index must be an integer in
     [0, gallery_size). The same pairs are also kept as flat (query, item)
-    index arrays for :func:`query_ranks`.
+    index arrays, grouped by query, for :func:`query_ranks`.
     """
 
     relevant: tuple
@@ -46,7 +56,7 @@ class GroundTruth:
                     f"query {q}: relevant entry {rel!r} is not a collection of gallery indices"
                 ) from None
             for i in members:
-                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                if not _is_integer(i):
                     raise ValidationError(f"query {q}: gallery index {i!r} is not an integer")
             items = frozenset(int(i) for i in members)
             if not items:
@@ -63,6 +73,8 @@ class GroundTruth:
         counts = [len(items) for items in sets]
         object.__setattr__(self, "_queries", np.repeat(np.arange(len(sets)), counts))
         object.__setattr__(self, "_items", np.fromiter(chain.from_iterable(sets), np.int64, sum(counts)))
+        # Pairs are grouped by query: query q's pairs start at ``_starts[q]``.
+        object.__setattr__(self, "_starts", np.cumsum(counts) - counts)
 
     @property
     def n_queries(self) -> int:
@@ -108,36 +120,62 @@ class RetrievalMetrics:
         return " ".join(f"R@{k}={self.r_at[k]:.4f}" for k in sorted(self.r_at))
 
 
+def _check_covers(shape: tuple, gt: GroundTruth) -> None:
+    """Raise ``ValidationError`` unless ``gt`` labels every cell of a matrix of ``shape``."""
+    if shape != (gt.n_queries, gt.gallery_size):
+        raise ValidationError(
+            f"ground truth ({gt.n_queries} x {gt.gallery_size}) does not cover "
+            f"a score matrix of shape {shape}"
+        )
+
+
+def _best_relevant(vals: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's best relevant score and the lowest gallery index holding it.
+
+    ``vals[..., p]`` is the score at the p-th (query, item) pair of ``gt``;
+    leading axes (one per weight in a sweep) are kept. Pairs are grouped by
+    query, so both results come from one ``reduceat`` over the pair axis.
+    """
+    starts = gt._starts
+    best = np.maximum.reduceat(vals, starts, axis=-1)
+    at_best = np.where(vals == best[..., gt._queries], gt._items, gt.gallery_size)
+    return best, np.minimum.reduceat(at_best, starts, axis=-1)
+
+
+def _count_ranks(block: np.ndarray, best: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """0-based rank, within each row of ``block``, of its item ``first`` scoring ``best``.
+
+    The rank is ``#{j : s_j > v} + #{j < r : s_j == v}`` for v = ``best`` and
+    r = ``first``. The block takes a ``> v`` and a ``>= v`` pass; only when
+    they show a tie at v do the rows holding one take the exact
+    ``== v and j < r`` fix-up.
+    """
+    v = best[:, None]
+    ranks = np.count_nonzero(block > v, axis=1)
+    # Each row's item is one of its ``>= v`` entries; any other is a tie. A
+    # whole-block count rules ties out before any per-row count is taken.
+    at_least = block >= v
+    if np.count_nonzero(at_least) > ranks.sum() + len(ranks):
+        tied = np.flatnonzero(np.count_nonzero(at_least, axis=1) - ranks > 1)
+        before = np.arange(block.shape[1]) < first[tied, None]
+        ranks[tied] += np.count_nonzero((block[tied] == v[tied]) & before, axis=1)
+    return ranks
+
+
 def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     """0-based rank of each query's best-placed relevant item.
 
     The rank of item r in row s is ``#{j : s_j > s_r} + #{j < r : s_j == s_r}``,
     its position under a stable descending sort (ties to the lower index).
     The best-placed relevant item has the highest score, then the lowest
-    index, so only that item is counted. No row is sorted: each row takes a
-    ``> v`` and a ``>= v`` pass, and only rows holding a tie at v take the
-    exact ``== v and j < r`` fix-up. Query q is a hit at k when its rank is
-    below k.
+    index, so only that item is counted, and no row is sorted. The work is
+    split in two halves that the weight sweep also calls: :func:`_best_relevant`
+    reads the relevant scores, and :func:`_count_ranks` counts any block of
+    rows. Query q is a hit at k when its rank is below k.
     """
-    if data.shape != (gt.n_queries, gt.gallery_size):
-        raise ValidationError(
-            f"ground truth ({gt.n_queries} x {gt.gallery_size}) does not cover "
-            f"a score matrix of shape {data.shape}"
-        )
-    q, items = gt._queries, gt._items
-    vals = data[q, items]
-    best = np.full(gt.n_queries, -np.inf)
-    np.maximum.at(best, q, vals)
-    r = np.full(gt.n_queries, gt.gallery_size)
-    np.minimum.at(r, q, np.where(vals == best[q], items, gt.gallery_size))
-    v = best[:, None]
-    ranks = np.count_nonzero(data > v, axis=1)
-    # The item itself is one of the ``>= v`` entries; any other is a tie.
-    tied = np.flatnonzero(np.count_nonzero(data >= v, axis=1) - ranks > 1)
-    if tied.size:
-        before = np.arange(gt.gallery_size) < r[tied, None]
-        ranks[tied] += np.count_nonzero((data[tied] == v[tied]) & before, axis=1)
-    return ranks
+    _check_covers(data.shape, gt)
+    best, first = _best_relevant(data[gt._queries, gt._items], gt)
+    return _count_ranks(data, best, first)
 
 
 def recall_at_k(s: ScoreMatrix, gt: GroundTruth, k: int) -> float:
@@ -150,6 +188,10 @@ def metrics_report(s: ScoreMatrix, gt: GroundTruth, ks: Sequence[int] | Iterable
 
     A single :func:`query_ranks` pass serves all requested cutoffs.
     """
+    ks = list(ks)
+    bad = [k for k in ks if not _is_integer(k)]
+    if bad:
+        raise ParameterError(f"every k must be an integer, got {bad[0]!r}")
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise ParameterError("ks must be non-empty")

@@ -1,18 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rankfuse.ensemble import (
+    _BLOCK_CELLS,
     DEFAULT_WEIGHT_GRID,
     RecallAtK,
     WeightGrid,
     format_trace,
     iterative_ensemble,
     minmax_normalize,
+    _sweep_values,
     sweep_weight,
 )
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from rankfuse.matrix_ops import ScoreMatrix
-from rankfuse.metrics import GroundTruth, recall_at_k
+from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
 
 
 def complementary_pair():
@@ -82,8 +86,9 @@ class TestWeightGrid:
             WeightGrid((0.5, 0.5))
 
     def test_metric_k_validated(self):
-        with pytest.raises(ParameterError):
-            RecallAtK(0)
+        for k in (0, 2.5, True):
+            with pytest.raises(ParameterError):
+                RecallAtK(k)
 
 
 class TestSweepWeight:
@@ -129,6 +134,86 @@ class TestSweepWeight:
                 GroundTruth.identity(3),
                 WeightGrid((0.5,)),
             )
+
+
+def stable_sort_recall(fused: np.ndarray, gt: GroundTruth, k: int) -> float:
+    """Recall@k from each relevant item's position under a stable descending sort."""
+    order = np.argsort(-fused, axis=1, kind="stable")
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(fused.shape[1])[None, :], axis=1)
+    hits = sum(min(position[q, j] for j in rel) < k for q, rel in enumerate(gt.relevant))
+    return hits / fused.shape[0]
+
+
+def tie_heavy(rng, shape, levels):
+    """Scores on ``levels`` values in [0, 1], with a share of the zeros stored as -0.0."""
+    data = rng.integers(0, levels, shape) / (levels - 1)
+    data[(data == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+    return data
+
+
+class TestBlockedSweep:
+    """The row-block sweep against a per-point sweep and a stable-sort rank."""
+
+    # Rows per block at a gallery of 1000 columns.
+    ROWS = _BLOCK_CELLS // 1000
+    SHAPES = [
+        (2 * ROWS + 5, 1000),  # not a whole number of blocks
+        (ROWS // 2, 1000),  # fewer rows than one block
+        (1, 1000),
+        (3, _BLOCK_CELLS + 7),  # one row per block
+    ]
+    GRIDS = [DEFAULT_WEIGHT_GRID, (0.0, 0.3, 1.0), (1.0,), (0.0,)]
+
+    def check(self, s, t, gt, k):
+        for grid in self.GRIDS:
+            values = _sweep_values(s, t, gt, grid, k)
+            per_point = [
+                int(np.count_nonzero(query_ranks(w * s + (1.0 - w) * t, gt) < k)) / s.shape[0]
+                for w in grid
+            ]
+            assert values == per_point
+            assert values == [stable_sort_recall(w * s + (1.0 - w) * t, gt, k) for w in grid]
+            best_i = max(range(len(grid)), key=lambda i: (per_point[i], -i))
+            chosen = sweep_weight(ScoreMatrix(s), ScoreMatrix(t), gt, WeightGrid(grid), RecallAtK(k))
+            assert chosen == (grid[best_i], per_point[best_i])
+
+    def test_tie_heavy_matches_per_point_sweep(self):
+        rng = np.random.default_rng(11)
+        for n, m in self.SHAPES:
+            for levels in (4, 5):
+                s, t = tie_heavy(rng, (n, m), levels), tie_heavy(rng, (n, m), levels)
+                gt = GroundTruth(
+                    relevant=tuple(
+                        rng.choice(m, size=int(rng.integers(1, 5)), replace=False) for _ in range(n)
+                    ),
+                    gallery_size=m,
+                )
+                for k in (1, 5):
+                    self.check(s, t, gt, k)
+
+    def test_continuous_and_zero_prev_match_per_point_sweep(self):
+        rng = np.random.default_rng(12)
+        n, m = self.SHAPES[0]
+        t = rng.random((n, m))
+        gt = GroundTruth(relevant=tuple({int(i)} for i in rng.integers(0, m, n)), gallery_size=m)
+        # S = 0 is the first fusion step.
+        for s in (rng.random((n, m)), np.zeros((n, m))):
+            self.check(s, t, gt, 5)
+
+    def test_peak_memory_below_one_full_matrix(self):
+        rng = np.random.default_rng(13)
+        n = m = 1000
+        s, t = ScoreMatrix(rng.random((n, m))), ScoreMatrix(rng.random((n, m)))
+        gt = GroundTruth.identity(n)
+        tracemalloc.start()
+        try:
+            sweep_weight(s, t, gt, WeightGrid(), RecallAtK(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
+        assert peak < n * m * 8
 
 
 class TestIterativeEnsemble:

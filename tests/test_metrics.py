@@ -102,8 +102,13 @@ class TestMetricsReport:
                 assert report.r_at[k] == brute_force_recall(data, gt, k)
 
     def test_empty_ks_rejected(self):
-        with pytest.raises(ParameterError):
-            metrics_report(ScoreMatrix(np.eye(3)), GroundTruth.identity(3), [])
+        s, gt = ScoreMatrix(np.eye(3)), GroundTruth.identity(3)
+        for ks in ([], [2.5], [True], [1, 2.0]):
+            with pytest.raises(ParameterError):
+                metrics_report(s, gt, ks)
+        for k in (2.5, True):
+            with pytest.raises(ParameterError):
+                recall_at_k(s, gt, k)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
