@@ -80,7 +80,7 @@ def _cmd_sim(args) -> int:
     queries = EmbeddingMatrix(load_matrix(args.queries, _infer_format(args.queries, args.format)))
     gallery = EmbeddingMatrix(load_matrix(args.gallery, _infer_format(args.gallery, args.format)))
     _check_extent(args.gallery, "feature dimension", gallery.n_cols, queries.n_cols, args.queries)
-    scores = cosine_similarity(queries, gallery)
+    scores = cosine_similarity(queries, gallery, names=(args.queries, args.gallery))
     write_matrix(scores, args.out, _infer_format(args.out, args.out_format))
     print(f"wrote {scores.n_queries}x{scores.n_gallery} score matrix to {args.out}")
     return 0

@@ -26,8 +26,10 @@ from .errors import ParameterError, ShapeError
 from .matrix_ops import ScoreMatrix, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
+    _BLOCK_CELLS,  # noqa: F401  the sweep's block size, re-exported for its tests
     RetrievalMetrics,
     _best_relevant,
+    _block_rows,
     _check_covers,
     _count_ranks,
     _is_integer,
@@ -48,11 +50,6 @@ __all__ = [
 
 # Default sweep values, densest just below 1 where retention pays off most.
 DEFAULT_WEIGHT_GRID = (0.0, 0.5, 0.8, 0.85, 0.875, 0.9, 0.9125, 0.925, 0.9375, 0.95)
-
-# Cells in one row block of the sweep: a float64 block buffer is 256 KB, so
-# a block of S and T plus both blend buffers stays in cache for every w.
-_BLOCK_CELLS = 32768
-
 
 @dataclass(frozen=True)
 class WeightGrid:
@@ -115,16 +112,24 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
 
     The best relevant scores come from the (query, item) pairs alone, once
     for the whole grid. The rows are then walked in blocks: each block is
-    blended into two reused buffers and ranked for every w while its rows of
-    s and t are still in cache, and the hits are summed per w.
+    blended into two reused buffers and scored for every w while its rows of
+    s and t are still in cache, and the hits are counted per w at the end.
+    At k = 1 a block is scored by its rows' ``argmax``, the lowest index of
+    each row's maximum: a query is a hit exactly when that is its lowest
+    best relevant item, so nothing is compared or counted per block. At
+    k > 1 :func:`rankfuse.metrics._count_ranks` counts ranks, with the spent
+    second blend buffer as its threshold buffer and one bool mask reused for
+    every block and w.
     """
     n, m = t.shape
     w = np.array(weights)[:, None]
     pairs = gt._queries, gt._items
     best, first = _best_relevant(w * s[pairs] + (1.0 - w) * t[pairs], gt)
-    rows = min(n, max(1, _BLOCK_CELLS // m))
+    rows = _block_rows(t.shape)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
-    hits = [0] * len(weights)
+    mask = np.empty((rows, m), bool)
+    # Per w and query: the argmax at k = 1, else the rank.
+    found = np.empty((len(weights), n), np.intp if k == 1 else np.uint32)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         a, b = blend[: hi - lo], part[: hi - lo]
@@ -133,8 +138,14 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             np.multiply(wi, s[lo:hi], out=a)
             np.multiply(1.0 - wi, t[lo:hi], out=b)
             np.add(a, b, out=a)
-            hits[i] += int(np.count_nonzero(_count_ranks(a, best[i, lo:hi], first[i, lo:hi]) < k))
-    return [h / n for h in hits]
+            if k == 1:
+                np.argmax(a, axis=1, out=found[i, lo:hi])
+            else:
+                _count_ranks(
+                    a, best[i, lo:hi], first[i, lo:hi], b, mask[: hi - lo], found[i, lo:hi]
+                )
+    hits = np.count_nonzero(found == first if k == 1 else found < k, axis=1)
+    return [int(h) / n for h in hits]
 
 
 def sweep_weight(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _MAGIC = b"\x93NUMPY"
+# What ``errors="surrogateescape"`` decodes a byte that is not UTF-8 to.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 _SUPPORTED_DESCR = ("<f4", "<f8")
 
 
@@ -129,11 +132,31 @@ def _write_array(arr: np.ndarray, path) -> None:
         fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
+def _reject_undecoded(path, text: str, lineno: int = 1) -> None:
+    """Raise ``FormatError`` at the first byte in ``text`` that was not UTF-8.
+
+    ``text`` was read with ``errors="surrogateescape"``, which turns such a
+    byte into a lone surrogate that decoded UTF-8 never holds; it starts on
+    line ``lineno`` of ``path``.
+    """
+    if text.isascii():
+        return
+    bad = _UNDECODED.search(text)
+    if bad:
+        line = lineno + text.count("\n", 0, bad.start())
+        column = bad.start() - text.rfind("\n", 0, bad.start())
+        raise FormatError(
+            f"{path}: line {line}, column {column}: "
+            f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
+        )
+
+
 def _load_csv(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            _reject_undecoded(path, line, lineno)
             line = line.strip()
             if not line:
                 continue
@@ -222,11 +245,15 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
     Model paths are resolved relative to the manifest's directory and must
     exist at load time.
     """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    _reject_undecoded(path, text)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     for key in ("n_queries", "n_gallery", "relevant"):

@@ -7,6 +7,8 @@ can stay plain numpy. Everything here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,13 +119,31 @@ class TopKResult:
         return self.indices.shape[1]
 
 
+# Below this L2 norm, a row's squares have lost precision to underflow.
+_TINY_NORM = math.sqrt(sys.float_info.min)
+
+
 def _unit_rows(data: np.ndarray, side: str = "") -> np.ndarray:
-    """``data`` with every row divided by its L2 norm; a zero row is rejected."""
-    norms = np.linalg.norm(data, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    """``data`` with every row divided by its L2 norm; a zero row is rejected.
+
+    A row whose squares overflow or underflow (a norm of inf, or below
+    ``_TINY_NORM``) is divided by its largest magnitude before its norm is
+    taken, so huge and tiny rows still come out as unit rows.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(data, axis=1)
+    rescale = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
+    if rescale.size == 0:
+        return data / norms[:, None]
+    peak = np.abs(data[rescale]).max(axis=1)
+    zero = rescale[peak == 0.0]
     if zero.size:
         raise DegenerateInputError(f"row {zero[0]}{side} has zero norm and cannot be normalized")
-    return data / norms[:, None]
+    scaled = data[rescale] / peak[:, None]
+    norms[rescale] = 1.0
+    unit = data / norms[:, None]
+    unit[rescale] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
 
 
 def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -135,13 +155,17 @@ def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     return EmbeddingMatrix(_unit_rows(m.data))
 
 
-def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
+def cosine_similarity(
+    a: EmbeddingMatrix, b: EmbeddingMatrix, names: tuple[str, str] = ("a", "b")
+) -> ScoreMatrix:
     """Pairwise cosine similarity between the rows of ``a`` and the rows of ``b``.
 
     Parameters
     ----------
     a, b : EmbeddingMatrix
         Feature banks with the same number of columns.
+    names : (str, str)
+        What a zero-row error calls ``a`` and ``b``, such as their files.
 
     Returns
     -------
@@ -151,7 +175,8 @@ def cosine_similarity(a: EmbeddingMatrix, b: EmbeddingMatrix) -> ScoreMatrix:
     """
     if a.n_cols != b.n_cols:
         raise ShapeError(f"feature dimensions differ: {a.n_cols} vs {b.n_cols}")
-    return ScoreMatrix(_unit_rows(a.data, " of a") @ _unit_rows(b.data, " of b").T)
+    unit_a, unit_b = _unit_rows(a.data, f" of {names[0]}"), _unit_rows(b.data, f" of {names[1]}")
+    return ScoreMatrix(unit_a @ unit_b.T)
 
 
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:

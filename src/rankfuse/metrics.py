@@ -7,9 +7,14 @@ produces. Every recall figure, including the weight sweep's, comes from one
 kernel, which counts ranks without sorting any row. It has two halves:
 :func:`_best_relevant` finds each query's best relevant score from its
 (query, item) pairs alone, and :func:`_count_ranks` counts that score's rank
-over any block of rows. :func:`query_ranks` runs both on a whole matrix; the
-weight sweep in :mod:`rankfuse.ensemble` runs the first once for its whole
-grid and the second on one row block and one weight at a time.
+over one block of rows, through a threshold buffer and a bool mask that the
+caller owns and reuses from block to block. :func:`query_ranks` runs the
+first on a whole matrix and the second on blocks of ``_BLOCK_CELLS`` cells,
+so it builds no temporary as large as the matrix. The weight sweep in
+:mod:`rankfuse.ensemble` runs the first once for its whole grid and the
+second on one row block and one weight at a time; at k = 1 it needs no rank
+at all, since a query is a hit exactly when its row's ``argmax`` (the lowest
+index of the row maximum) is its lowest best relevant item.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from .errors import ParameterError, ValidationError
 from .matrix_ops import ScoreMatrix, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
 
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
+
+# Cells in one row block of the rank kernel: a float64 block is 256 KB, so a
+# block, its threshold buffer and its mask stay in cache together.
+_BLOCK_CELLS = 32768
 
 
 def _is_integer(x) -> bool:
@@ -142,24 +151,44 @@ def _best_relevant(vals: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.nd
     return best, np.minimum.reduceat(at_best, starts, axis=-1)
 
 
-def _count_ranks(block: np.ndarray, best: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _count_ranks(
+    block: np.ndarray,
+    best: np.ndarray,
+    first: np.ndarray,
+    thr: np.ndarray,
+    mask: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
     """0-based rank, within each row of ``block``, of its item ``first`` scoring ``best``.
 
     The rank is ``#{j : s_j > v} + #{j < r : s_j == v}`` for v = ``best`` and
-    r = ``first``. The block takes a ``> v`` and a ``>= v`` pass; only when
-    they show a tie at v do the rows holding one take the exact
-    ``== v and j < r`` fix-up.
+    r = ``first``; it is written to ``out`` (one integer per row), which is
+    returned. ``thr`` (float) and ``mask`` (bool) are caller-owned buffers
+    of ``block``'s shape, reused from block to block: ``thr`` is filled with
+    each row's v, so both passes are same-shape comparisons into ``mask``,
+    and each row's count is a ``uint8`` sum over it. The block takes a
+    ``> v`` and a ``>= v`` pass; only when they show a tie at v do the rows
+    holding one take the exact ``== v and j < r`` fix-up.
     """
-    v = best[:, None]
-    ranks = np.count_nonzero(block > v, axis=1)
+    np.copyto(thr, best[:, None])
+    np.greater(block, thr, out=mask)
+    ranks = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32, out=out)
     # Each row's item is one of its ``>= v`` entries; any other is a tie. A
     # whole-block count rules ties out before any per-row count is taken.
-    at_least = block >= v
-    if np.count_nonzero(at_least) > ranks.sum() + len(ranks):
-        tied = np.flatnonzero(np.count_nonzero(at_least, axis=1) - ranks > 1)
+    np.greater_equal(block, thr, out=mask)
+    if np.count_nonzero(mask) > int(ranks.sum()) + len(ranks):
+        at_least = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32)
+        tied = np.flatnonzero(at_least - ranks > 1)
         before = np.arange(block.shape[1]) < first[tied, None]
-        ranks[tied] += np.count_nonzero((block[tied] == v[tied]) & before, axis=1)
+        fix = np.count_nonzero((block[tied] == best[tied, None]) & before, axis=1)
+        ranks[tied] += fix.astype(ranks.dtype)
     return ranks
+
+
+def _block_rows(shape: tuple) -> int:
+    """Rows in one block of :data:`_BLOCK_CELLS` cells of a matrix of ``shape`` (at least 1)."""
+    n, m = shape
+    return min(n, max(1, _BLOCK_CELLS // m))
 
 
 def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
@@ -170,12 +199,23 @@ def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     The best-placed relevant item has the highest score, then the lowest
     index, so only that item is counted, and no row is sorted. The work is
     split in two halves that the weight sweep also calls: :func:`_best_relevant`
-    reads the relevant scores, and :func:`_count_ranks` counts any block of
-    rows. Query q is a hit at k when its rank is below k.
+    reads the relevant scores, and :func:`_count_ranks` counts blocks of
+    :data:`_BLOCK_CELLS` cells through one pair of reused buffers, so no
+    temporary as large as ``data`` is built. Query q is a hit at k when its
+    rank is below k.
     """
     _check_covers(data.shape, gt)
     best, first = _best_relevant(data[gt._queries, gt._items], gt)
-    return _count_ranks(data, best, first)
+    n, m = data.shape
+    rows = _block_rows(data.shape)
+    thr, mask = np.empty((rows, m), best.dtype), np.empty((rows, m), bool)
+    ranks = np.empty(n, np.intp)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        _count_ranks(
+            data[lo:hi], best[lo:hi], first[lo:hi], thr[: hi - lo], mask[: hi - lo], ranks[lo:hi]
+        )
+    return ranks
 
 
 def recall_at_k(s: ScoreMatrix, gt: GroundTruth, k: int) -> float:

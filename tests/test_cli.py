@@ -82,6 +82,17 @@ class TestEval:
         cut.write_bytes(cut.read_bytes()[:-5])
         assert_rejects_naming(["eval", "--scores", str(cut), "--gt", str(gt)], cut, capsys)
 
+    def test_csv_that_is_not_utf8_exit_1(self, tmp_path, capsys):
+        gt = tmp_path / "gt.json"
+        write_gt(gt, 2)
+        bad = tmp_path / "bad.csv"
+        # A UTF-16 byte-order mark, then a stray byte on line 2.
+        for payload, line in ((b"\xff\xfe1,0\n0,1\n", "line 1"), (b"1,0\n0,\xe91\n", "line 2")):
+            bad.write_bytes(payload)
+            assert_rejects_naming(["eval", "--scores", str(bad), "--gt", str(gt)], bad, capsys)
+            assert run_cli(["eval", "--scores", str(bad), "--gt", str(gt)]) == 1
+            assert line in capsys.readouterr().err
+
 
 class TestSim:
     def test_matches_library(self, tmp_path, capsys):
@@ -111,6 +122,20 @@ class TestSim:
             "--out", str(tmp_path / "s.npy"),
         ]
         assert_rejects_naming(argv, tmp_path / "g.npy", capsys)
+
+    def test_array_file_read_as_csv_exit_1(self, tmp_path, capsys):
+        write_matrix(np.ones((2, 3)), tmp_path / "text.npy")
+        write_matrix(np.ones((2, 3)), tmp_path / "image.npy")
+        argv = [
+            "sim",
+            "--queries", str(tmp_path / "text.npy"),
+            "--gallery", str(tmp_path / "image.npy"),
+            "--out", str(tmp_path / "g.npy"),
+            "--format", "csv",
+        ]
+        assert_rejects_naming(argv, tmp_path / "text.npy", capsys)
+        assert run_cli(argv) == 1
+        assert "line 1, column 1: byte 0x93 is not valid UTF-8" in capsys.readouterr().err
 
 
 class TestEnsembleCommand:

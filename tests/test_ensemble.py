@@ -136,13 +136,17 @@ class TestSweepWeight:
             )
 
 
-def stable_sort_recall(fused: np.ndarray, gt: GroundTruth, k: int) -> float:
-    """Recall@k from each relevant item's position under a stable descending sort."""
+def stable_sort_ranks(fused: np.ndarray, gt: GroundTruth) -> list:
+    """Each query's best relevant position under a stable descending sort."""
     order = np.argsort(-fused, axis=1, kind="stable")
     position = np.empty_like(order)
     np.put_along_axis(position, order, np.arange(fused.shape[1])[None, :], axis=1)
-    hits = sum(min(position[q, j] for j in rel) < k for q, rel in enumerate(gt.relevant))
-    return hits / fused.shape[0]
+    return [min(position[q, j] for j in rel) for q, rel in enumerate(gt.relevant)]
+
+
+def stable_sort_recall(fused: np.ndarray, gt: GroundTruth, k: int) -> float:
+    """Recall@k from each relevant item's position under a stable descending sort."""
+    return sum(r < k for r in stable_sort_ranks(fused, gt)) / fused.shape[0]
 
 
 def tie_heavy(rng, shape, levels):
@@ -206,14 +210,111 @@ class TestBlockedSweep:
         n = m = 1000
         s, t = ScoreMatrix(rng.random((n, m))), ScoreMatrix(rng.random((n, m)))
         gt = GroundTruth.identity(n)
-        tracemalloc.start()
-        try:
-            sweep_weight(s, t, gt, WeightGrid(), RecallAtK(5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
-        assert peak < n * m * 8
+        # k = 1 takes the argmax hit test, k = 5 the rank count.
+        for k in (1, 5):
+            tracemalloc.start()
+            try:
+                sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
+            assert peak < n * m * 8
+
+    @staticmethod
+    def with_max_at(rng, shape, columns):
+        """s and t below 0.9, except 1.0 in both at each row's ``columns``.
+
+        Every blend of s and t then peaks at exactly those columns, tied.
+        """
+        s, t = 0.9 * rng.random(shape), 0.9 * rng.random(shape)
+        rows = np.arange(shape[0])[:, None]
+        s[rows, columns] = t[rows, columns] = 1.0
+        return s, t
+
+    def test_k1_miss_when_a_lower_index_ties_the_best_relevant(self):
+        rng = np.random.default_rng(14)
+        n, m = self.SHAPES[0]
+        r = rng.integers(1, m - 1, n)
+        # Each row's one relevant item ties a twin: below it (a miss at
+        # k = 1) or above it (a hit).
+        lower = rng.random(n) < 0.5
+        twin = np.where(lower, rng.integers(0, r), rng.integers(r + 1, m))
+        s, t = self.with_max_at(rng, (n, m), np.stack([r, twin], axis=1))
+        gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
+        for k in (1, 2, 5):
+            self.check(s, t, gt, k)
+        grid = DEFAULT_WEIGHT_GRID
+        assert _sweep_values(s, t, gt, grid, 1) == [np.count_nonzero(~lower) / n] * len(grid)
+        assert _sweep_values(s, t, gt, grid, 2) == [1.0] * len(grid)
+
+    def test_several_relevant_items_share_the_maximum(self):
+        rng = np.random.default_rng(15)
+        n, m = self.SHAPES[0]
+        tops = np.stack([rng.choice(m, size=4, replace=False) for _ in range(n)])
+        s, t = self.with_max_at(rng, (n, m), tops)
+        # Two or three of the four tied columns are relevant; the lowest
+        # tied column decides every k = 1 hit.
+        relevant = [set(map(int, row[: int(rng.integers(2, 4))])) for row in tops]
+        gt = GroundTruth(relevant=tuple(relevant), gallery_size=m)
+        for k in (1, 2, 5):
+            self.check(s, t, gt, k)
+        hits = sum(min(row) in rel for row, rel in zip(tops.tolist(), relevant))
+        grid = DEFAULT_WEIGHT_GRID
+        assert _sweep_values(s, t, gt, grid, 1) == [hits / n] * len(grid)
+
+    def test_signed_zeros_tied_at_the_row_maximum(self):
+        rng = np.random.default_rng(16)
+        for n, m in self.SHAPES:
+            s, t = -0.1 - rng.random((n, m)), -0.1 - rng.random((n, m))
+            # Three zero columns per row, each 0.0 or -0.0 in s and in t,
+            # so every blend's row maximum is a mix of 0.0 and -0.0.
+            zeros = np.stack([rng.choice(m, size=3, replace=False) for _ in range(n)])
+            rows = np.arange(n)[:, None]
+            for x in (s, t):
+                x[rows, zeros] = np.where(rng.random(zeros.shape) < 0.5, -0.0, 0.0)
+            gt = GroundTruth(
+                relevant=tuple(
+                    {int(row[rng.integers(0, 3)]), int(rng.integers(0, m))} for row in zeros
+                ),
+                gallery_size=m,
+            )
+            for k in (1, 2, 5):
+                self.check(s, t, gt, k)
+
+    def test_all_equal_rows_and_k_equal_to_gallery(self):
+        rng = np.random.default_rng(17)
+        grid = DEFAULT_WEIGHT_GRID
+        for n, m in self.SHAPES:
+            gt = GroundTruth(
+                relevant=tuple(
+                    rng.choice(m, size=int(rng.integers(1, 4)), replace=False) for _ in range(n)
+                ),
+                gallery_size=m,
+            )
+            # Every score in a row equal: each rank is the lowest relevant index.
+            s = t = np.repeat(rng.random((n, 1)), m, axis=1)
+            for k in (1, 5, m):
+                self.check(s, t, gt, k)
+                hits = sum(min(rel) < k for rel in gt.relevant)
+                assert _sweep_values(s, t, gt, grid, k) == [hits / n] * len(grid)
+            # At k = m every query is a hit, whatever the scores.
+            s, t = tie_heavy(rng, (n, m), 4), tie_heavy(rng, (n, m), 4)
+            self.check(s, t, gt, m)
+            assert _sweep_values(s, t, gt, grid, m) == [1.0] * len(grid)
+
+    def test_blocked_query_ranks_match_stable_sort(self):
+        rng = np.random.default_rng(18)
+        # Not a whole number of blocks, then one row per block.
+        for n, m in (self.SHAPES[0], self.SHAPES[3]):
+            for data in (rng.random((n, m)), tie_heavy(rng, (n, m), 4), np.zeros((n, m))):
+                gt = GroundTruth(
+                    relevant=tuple(
+                        rng.choice(m, size=int(rng.integers(1, 5)), replace=False) for _ in range(n)
+                    ),
+                    gallery_size=m,
+                )
+                assert query_ranks(data, gt).tolist() == stable_sort_ranks(data, gt)
 
 
 class TestIterativeEnsemble:

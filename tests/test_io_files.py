@@ -259,6 +259,20 @@ class TestManifests:
         with pytest.raises(FormatError, match="line 2"):
             load_ground_truth(p)
 
+    def test_undecodable_or_too_deep_json_rejected(self, tmp_path, capsys):
+        p = tmp_path / "manifest.json"
+        for payload, match in (
+            (
+                b'{"n_queries": 1,\r\n "n_gallery": \xff1}',
+                "line 2, column 15: byte 0xff is not valid UTF-8",
+            ),
+            (b"[" * 100000, "JSON nested too deeply"),
+        ):
+            p.write_bytes(payload)
+            with pytest.raises(FormatError, match=re.escape(f"{p}: {match}")):
+                load_ground_truth(p)
+            assert_cli_rejects(p, tmp_path, capsys)
+
     def test_missing_key(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
         write_matrix(np.eye(1), tmp_path / "m.npy")

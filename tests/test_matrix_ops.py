@@ -71,6 +71,15 @@ class TestCosineSimilarity:
                 EmbeddingMatrix([[1, 0]]), EmbeddingMatrix([[1, 1], [0, 0]])
             )
 
+    def test_huge_and_tiny_rows_are_unit_rows(self):
+        # Their squares overflow or underflow; the plain norm would be inf or 0.
+        a = EmbeddingMatrix([[1e308, 1e308], [3e-200, 4e-200], [5e-324, 0.0]])
+        b = EmbeddingMatrix([[1.0, 1.0], [3.0, 4.0], [1.0, 0.0]])
+        expected = cosine_similarity(b, b).data
+        np.testing.assert_allclose(cosine_similarity(a, b).data, expected, atol=1e-15)
+        norms = np.linalg.norm(l2_normalize_rows(a).data, axis=1)
+        np.testing.assert_allclose(norms, 1.0, atol=1e-15)
+
     def test_entries_bounded(self):
         rng = np.random.default_rng(3)
         a = EmbeddingMatrix(rng.standard_normal((20, 7)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestMetricsReport:
             report = metrics_report(ScoreMatrix(data), gt, [1, 5, 10])
             for k in (1, 5, 10):
                 assert report.r_at[k] == brute_force_recall(data, gt, k)
+
+    def test_peak_memory_below_one_bool_matrix(self):
+        rng = np.random.default_rng(3)
+        n = m = 1000
+        s, gt = ScoreMatrix(rng.random((n, m))), GroundTruth.identity(n)
+        tracemalloc.start()
+        try:
+            metrics_report(s, gt, [1, 5, 10])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Ranks are counted block by block; one n x m bool mask is n * m bytes.
+        assert peak < n * m
 
     def test_empty_ks_rejected(self):
         s, gt = ScoreMatrix(np.eye(3)), GroundTruth.identity(3)
