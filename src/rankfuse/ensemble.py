@@ -26,7 +26,6 @@ from .errors import ParameterError, ShapeError
 from .matrix_ops import ScoreMatrix, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
-    _BLOCK_CELLS,  # noqa: F401  the sweep's block size, re-exported for its tests
     RetrievalMetrics,
     _best_relevant,
     _block_rows,
@@ -107,8 +106,20 @@ class EnsembleTrace:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
+def _blend(w, s: np.ndarray, t: np.ndarray, out=None, part=None) -> np.ndarray:
+    """``w * s + (1.0 - w) * t``, into ``out`` with ``part`` as scratch if given.
+
+    The one spelling of the fold, so the recall a step records and the
+    matrix it keeps come from the same operations. ``w`` is a weight or a
+    column of weights.
+    """
+    out = np.multiply(w, s, out=out)
+    part = np.multiply(1.0 - w, t, out=part)
+    return np.add(out, part, out=out)
+
+
 def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
-    """Recall@k of ``w * s + (1.0 - w) * t`` for every w in ``weights``, in order.
+    """Recall@k of ``_blend(w, s, t)`` for every w in ``weights``, in order.
 
     The best relevant scores come from the (query, item) pairs alone, once
     for the whole grid. The rows are then walked in blocks: each block is
@@ -122,9 +133,8 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     every block and w.
     """
     n, m = t.shape
-    w = np.array(weights)[:, None]
     pairs = gt._queries, gt._items
-    best, first = _best_relevant(w * s[pairs] + (1.0 - w) * t[pairs], gt)
+    best, first = _best_relevant(_blend(np.array(weights)[:, None], s[pairs], t[pairs]), gt)
     rows = _block_rows(t.shape)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
@@ -134,10 +144,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
         hi = min(lo + rows, n)
         a, b = blend[: hi - lo], part[: hi - lo]
         for i, wi in enumerate(weights):
-            # The same operations, in the same order, as w * s + (1.0 - w) * t.
-            np.multiply(wi, s[lo:hi], out=a)
-            np.multiply(1.0 - wi, t[lo:hi], out=b)
-            np.add(a, b, out=a)
+            _blend(wi, s[lo:hi], t[lo:hi], out=a, part=b)
             if k == 1:
                 np.argmax(a, axis=1, out=found[i, lo:hi])
             else:
@@ -149,29 +156,30 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
 
 
 def sweep_weight(
-    s_prev: ScoreMatrix,
-    t_model: ScoreMatrix,
+    s_prev: np.ndarray | ScoreMatrix,
+    t_model: np.ndarray | ScoreMatrix,
     gt: GroundTruth,
     grid: WeightGrid,
     metric: RecallAtK = RecallAtK(1),
 ) -> tuple[float, float]:
     """Pick the retention weight maximizing the metric of w*s_prev + (1-w)*t_model.
 
-    Every w in the grid is scored by the recall kernel of
-    :mod:`rankfuse.metrics` on the plain blend, which is finite because both
-    inputs are; ties go to the smallest w. The sweep walks blocks of query
-    rows and scores the whole grid on each block while it is in cache, so
-    it never builds a full-size blend; the values are the same as ranking
-    each full blend with :func:`rankfuse.metrics.query_ranks`.
+    ``s_prev`` and ``t_model`` are finite float64 arrays of one shape, used
+    as given like those of :func:`rankfuse.metrics.query_ranks`, or
+    ``ScoreMatrix`` objects. Every w in the grid is scored by the recall
+    kernel of :mod:`rankfuse.metrics` on the plain blend; ties go to the
+    smallest w. The sweep walks blocks of query rows and scores the whole
+    grid on each block while it is in cache, so it never builds a full-size
+    blend; the values are the same as ranking each full blend with
+    :func:`rankfuse.metrics.query_ranks`.
     """
-    if s_prev.data.shape != t_model.data.shape:
-        raise ShapeError(
-            f"score matrices differ in shape: {s_prev.data.shape} vs {t_model.data.shape}"
-        )
-    if metric.k > t_model.n_gallery:
-        raise ParameterError(f"metric k must be in [1, {t_model.n_gallery}], got {metric.k}")
-    _check_covers(t_model.data.shape, gt)
-    values = _sweep_values(s_prev.data, t_model.data, gt, grid.weights, metric.k)
+    s, t = (x if isinstance(x, np.ndarray) else x.data for x in (s_prev, t_model))
+    if s.shape != t.shape:
+        raise ShapeError(f"score matrices differ in shape: {s.shape} vs {t.shape}")
+    _check_covers(t.shape, gt)
+    if metric.k > gt.gallery_size:
+        raise ParameterError(f"metric k must be in [1, {gt.gallery_size}], got {metric.k}")
+    values = _sweep_values(s, t, gt, grid.weights, metric.k)
     # Grid order is ascending, so the first maximum is the smallest maximizer.
     best_i = values.index(max(values))
     return grid.weights[best_i], values[best_i]
@@ -209,8 +217,10 @@ def iterative_ensemble(
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
-    Each normalized model and each kept blend is validated once; a model
-    whose values span more than the float64 maximum raises
+    The steps fold plain arrays, finite because the inputs are
+    ``ScoreMatrix`` objects; only the fused matrix is validated, once. A
+    model whose values span more than the float64 maximum, or a fused
+    matrix that overflows (possible only without ``normalize``), raises
     ``ValidationError``. The final report covers R@{1, 5, 10} within the
     gallery plus the tuning metric's k.
 
@@ -230,22 +240,23 @@ def iterative_ensemble(
         raise ParameterError(f"{len(ids)} model ids for {len(models)} models")
 
     if init_matrix is None:
-        s = ScoreMatrix(np.zeros(shape))
+        s = np.zeros(shape)
     elif init_matrix.data.shape != shape:
         raise ShapeError(f"init matrix has shape {init_matrix.data.shape}, expected {shape}")
     else:
-        s = ScoreMatrix(minmax_normalize(init_matrix.data)) if normalize else init_matrix
+        s = minmax_normalize(init_matrix.data) if normalize else init_matrix.data
 
     steps = []
     for model_id, m in zip(ids, models):
-        t = ScoreMatrix(minmax_normalize(m.data)) if normalize else m
+        t = minmax_normalize(m.data) if normalize else m.data
         w, value = sweep_weight(s, t, gt, grid, metric)
-        s = ScoreMatrix(w * s.data + (1.0 - w) * t.data)
+        s = _blend(w, s, t)
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
-    report_ks = sorted({metric.k} | {k for k in (1, 5, 10) if k <= s.n_gallery})
-    final = metrics_report(s, gt, report_ks)
-    return s, EnsembleTrace(steps=tuple(steps), metric=metric, final_metrics=final)
+    fused = ScoreMatrix(s)
+    report_ks = sorted({metric.k} | {k for k in (1, 5, 10) if k <= fused.n_gallery})
+    final = metrics_report(fused, gt, report_ks)
+    return fused, EnsembleTrace(steps=tuple(steps), metric=metric, final_metrics=final)
 
 
 def format_trace(trace: EnsembleTrace) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .matrix_ops import _as_matrix
-from .metrics import GroundTruth
+from .metrics import GroundTruth, _is_integer
 
 __all__ = [
     "ModelEntry",
@@ -88,7 +88,7 @@ def _load_array(path) -> np.ndarray:
         if (
             not isinstance(shape, tuple)
             or len(shape) != 2
-            or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in shape)
+            or not all(_is_integer(d) and d >= 1 for d in shape)
         ):
             raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
 
@@ -167,8 +167,9 @@ def _load_csv(path) -> np.ndarray:
                 raise FormatError(
                     f"{path}: line {lineno} has {len(cells)} columns, expected {width}"
                 )
+            # A float64 row, not a list of Python floats at 4x the bytes.
             try:
-                rows.append([float(c) for c in cells])
+                rows.append(np.array([float(c) for c in cells]))
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     if not rows:
@@ -260,7 +261,7 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
         if key not in doc:
             raise FormatError(f"{path}: manifest is missing '{key}'")
     for key in ("n_queries", "n_gallery"):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int) or doc[key] < 1:
+        if not _is_integer(doc[key]) or doc[key] < 1:
             raise FormatError(f"{path}: '{key}' must be a positive integer, got {doc[key]!r}")
     n_queries, n_gallery = doc["n_queries"], doc["n_gallery"]
     rel = _parse_relevant(doc, n_queries, path)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rankfuse.ensemble import (
-    _BLOCK_CELLS,
     DEFAULT_WEIGHT_GRID,
     RecallAtK,
     WeightGrid,
@@ -16,7 +15,7 @@ from rankfuse.ensemble import (
 )
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from rankfuse.matrix_ops import ScoreMatrix
-from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
+from rankfuse.metrics import _BLOCK_CELLS, GroundTruth, query_ranks, recall_at_k
 
 
 def complementary_pair():
@@ -126,14 +125,11 @@ class TestSweepWeight:
                 GroundTruth.identity(3),
                 WeightGrid((0.5,)),
             )
-        # Matrices that agree with each other but not with the ground truth.
-        with pytest.raises(RankfuseError):
-            sweep_weight(
-                ScoreMatrix(np.zeros((2, 2))),
-                ScoreMatrix(np.zeros((2, 2))),
-                GroundTruth.identity(3),
-                WeightGrid((0.5,)),
-            )
+        # Matrices that agree with each other but not with the ground truth,
+        # as wrappers and as plain arrays, 2-D or not.
+        for x in (ScoreMatrix(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros(3)):
+            with pytest.raises(RankfuseError):
+                sweep_weight(x, x, GroundTruth.identity(3), WeightGrid((0.5,)))
 
 
 def stable_sort_ranks(fused: np.ndarray, gt: GroundTruth) -> list:
@@ -179,8 +175,10 @@ class TestBlockedSweep:
             assert values == per_point
             assert values == [stable_sort_recall(w * s + (1.0 - w) * t, gt, k) for w in grid]
             best_i = max(range(len(grid)), key=lambda i: (per_point[i], -i))
-            chosen = sweep_weight(ScoreMatrix(s), ScoreMatrix(t), gt, WeightGrid(grid), RecallAtK(k))
-            assert chosen == (grid[best_i], per_point[best_i])
+            # Plain arrays and ScoreMatrix inputs choose alike.
+            for pair in ((s, t), (ScoreMatrix(s), ScoreMatrix(t))):
+                chosen = sweep_weight(*pair, gt, WeightGrid(grid), RecallAtK(k))
+                assert chosen == (grid[best_i], per_point[best_i])
 
     def test_tie_heavy_matches_per_point_sweep(self):
         rng = np.random.default_rng(11)

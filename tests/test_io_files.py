@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,23 @@ class TestCsvFormat:
         p.write_text("1,2\n3,frog\n")
         with pytest.raises(FormatError, match="line 2"):
             load_matrix(p, "csv")
+
+    def test_peak_memory_near_the_result(self, tmp_path):
+        rng = np.random.default_rng(5)
+        arr = rng.standard_normal((500, 1000))
+        p = tmp_path / "big.csv"
+        write_matrix(arr, p, "csv")
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(p, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded, arr)
+        assert loaded.dtype == np.float64
+        assert loaded.flags.owndata and loaded.flags.writeable
+        # Rows of Python floats would take about five times the result.
+        assert peak < 3 * loaded.nbytes
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
