@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -27,13 +29,14 @@ from . import view_sampling as vs
 from .errors import ParameterError, RankfuseError, ShapeError
 from .io_files import (
     ModelEntry,
+    array_shape,
     load_ground_truth,
     load_manifest,
     load_matrix,
     write_manifest,
     write_matrix,
 )
-from .matrix_ops import EmbeddingMatrix, ScoreMatrix, cosine_similarity
+from .matrix_ops import EmbeddingMatrix, ScoreMatrix, cosine_similarity  # noqa: F401  perfbench/tracer.py wraps ScoreMatrix here
 from .metrics import metrics_report
 from .selection import select_topk_features
 from .synth import SynthConfig, gen_model_scores, gen_paired_embeddings
@@ -87,11 +90,11 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scores = ScoreMatrix(load_matrix(args.scores, _infer_format(args.scores, args.format)))
+    scores = load_matrix(args.scores, _infer_format(args.scores, args.format))
     gt = load_ground_truth(args.gt)
     expected = (gt.n_queries, gt.gallery_size)
-    _check_extent(args.scores, "shape", scores.data.shape, expected, f"manifest {args.gt}")
-    n = scores.n_gallery
+    _check_extent(args.scores, "shape", scores.shape, expected, f"manifest {args.gt}")
+    n = gt.gallery_size
     requested = _parse_ks(args.k)
     for k in requested:
         if k > n:
@@ -100,6 +103,39 @@ def _cmd_eval(args) -> int:
     for k in requested:
         print(f"R@{k}={report.r_at[min(k, n)]:.4f}")
     return 0
+
+
+class _Loaded(Sequence):
+    """Matrices read one at a time: reading item i calls ``loaders[i]``."""
+
+    def __init__(self, loaders: list):
+        self._loaders = loaders
+
+    def __len__(self) -> int:
+        return len(self._loaders)
+
+    def __getitem__(self, i):
+        return self._loaders[i]()
+
+
+def _load_checked(path, fmt: str, expected: tuple, source: str) -> np.ndarray:
+    data = load_matrix(path, fmt)
+    _check_extent(path, "shape", data.shape, expected, source)
+    return data
+
+
+def _staged(path, fmt: str, expected: tuple, source: str):
+    """A loader of the matrix at ``path``, whose shape is checked now.
+
+    An array in a regular file is checked from its header and loaded when
+    the loader is called. A pipe cannot be read twice and a CSV file has no
+    header, so either is loaded and checked now, and the loader returns it.
+    """
+    if fmt == "array" and stat.S_ISREG(os.stat(path).st_mode):
+        _check_extent(path, "shape", array_shape(path), expected, source)
+        return lambda: _load_checked(path, fmt, expected, source)
+    data = _load_checked(path, fmt, expected, source)
+    return lambda: data
 
 
 def _cmd_ensemble(args) -> int:
@@ -117,16 +153,15 @@ def _cmd_ensemble(args) -> int:
         raise ParameterError(f"{args.manifest}: no model matrices to fuse (and no --model given)")
     expected = (gt.n_queries, gt.gallery_size)
     source = f"manifest {args.manifest}"
-    models = []
-    for e in entries:
-        models.append(ScoreMatrix(load_matrix(e.path, e.format)))
-        _check_extent(e.path, "shape", models[-1].data.shape, expected, source)
+    # Every file is checked before fusion starts; each array model is then
+    # loaded only when its step reads it.
+    models = _Loaded([_staged(e.path, e.format, expected, source) for e in entries])
     grid = ens.WeightGrid(tuple(_parse_floats(args.grid)))
     metric = ens.RecallAtK(args.metric_k)
     init = None
     if args.init_matrix:
-        init = ScoreMatrix(load_matrix(args.init_matrix, _infer_format(args.init_matrix, args.format)))
-        _check_extent(args.init_matrix, "shape", init.data.shape, expected, source)
+        fmt = _infer_format(args.init_matrix, args.format)
+        init = _staged(args.init_matrix, fmt, expected, source)()
     fused, trace = ens.iterative_ensemble(
         models,
         gt,
@@ -146,10 +181,10 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_select(args) -> int:
-    features = EmbeddingMatrix(load_matrix(args.features, _infer_format(args.features, args.format)))
-    guidance = ScoreMatrix(load_matrix(args.guidance, _infer_format(args.guidance, args.format)))
+    features = load_matrix(args.features, _infer_format(args.features, args.format))
+    guidance = load_matrix(args.guidance, _infer_format(args.guidance, args.format))
     rows = f"the rows of {args.features}"
-    _check_extent(args.guidance, "column count", guidance.n_gallery, features.n_rows, rows)
+    _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in selected.indices:

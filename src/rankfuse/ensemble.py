@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .matrix_ops import ScoreMatrix, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
+from .matrix_ops import ScoreMatrix, _data, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
     RetrievalMetrics,
@@ -173,7 +173,7 @@ def sweep_weight(
     blend; the values are the same as ranking each full blend with
     :func:`rankfuse.metrics.query_ranks`.
     """
-    s, t = (x if isinstance(x, np.ndarray) else x.data for x in (s_prev, t_model))
+    s, t = _data(s_prev), _data(t_model)
     if s.shape != t.shape:
         raise ShapeError(f"score matrices differ in shape: {s.shape} vs {t.shape}")
     _check_covers(t.shape, gt)
@@ -185,22 +185,36 @@ def sweep_weight(
     return grid.weights[best_i], values[best_i]
 
 
+def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool) -> np.ndarray:
+    """A new float64 array of ``x``'s scores, min-max rescaled under ``normalize``.
+
+    ``x`` must have ``shape``, unless that is None. The caller owns the
+    result, so a fold may write over it without touching ``x``.
+    """
+    data = _data(x)
+    if shape is not None and data.shape != shape:
+        raise ShapeError(f"{what} has shape {data.shape}, expected {shape}")
+    return minmax_normalize(data) if normalize else np.array(data, dtype=np.float64)
+
+
 def iterative_ensemble(
-    models: Sequence[ScoreMatrix],
+    models: Sequence[np.ndarray | ScoreMatrix],
     gt: GroundTruth,
     grid: WeightGrid,
     metric: RecallAtK = RecallAtK(1),
     normalize: bool = True,
-    init_matrix: ScoreMatrix | None = None,
+    init_matrix: np.ndarray | ScoreMatrix | None = None,
     model_ids: Sequence[str] | None = None,
 ) -> tuple[ScoreMatrix, EnsembleTrace]:
     """Fuse an ordered list of model score matrices with per-step weight tuning.
 
     Parameters
     ----------
-    models : sequence of ScoreMatrix
+    models : sequence of ScoreMatrix or finite float64 arrays
         At least one matrix; all the same shape. Fusion order matters and is
-        taken as given.
+        taken as given. ``models[i]`` is read once, when step i starts, and
+        its shape is checked then, so a lazy sequence (one whose items are
+        loaded when they are read) keeps one model in memory at a time.
     gt : GroundTruth
         Tuning labels for the weight sweeps (caller decides which split).
     grid, metric :
@@ -211,18 +225,21 @@ def iterative_ensemble(
         Min-max rescale each input matrix (and ``init_matrix``) to [0, 1]
         when its step starts. Heterogeneous models score on wildly different
         scales, so this is on by default; turn it off for raw convex fusion.
-    init_matrix : ScoreMatrix, optional
+    init_matrix : ScoreMatrix or finite float64 array, optional
         Starting accumulator instead of the zero matrix, for studying
         warm-started fusion. It is never modified.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
-    The steps fold plain arrays, finite because the inputs are
-    ``ScoreMatrix`` objects; only the fused matrix is validated, once. A
+    Arrays, told apart from ``ScoreMatrix`` by ``isinstance(x, np.ndarray)``
+    as in :func:`sweep_weight`, are trusted to be finite float64, like the
+    data of a ``ScoreMatrix``; only the fused matrix is validated, once. A
     model whose values span more than the float64 maximum, or a fused
     matrix that overflows (possible only without ``normalize``), raises
-    ``ValidationError``. The final report covers R@{1, 5, 10} within the
-    gallery plus the tuning metric's k.
+    ``ValidationError``. Each step folds into the accumulator in place, with
+    the step's own copy of its model as scratch, so neither the caller's
+    models nor ``init_matrix`` is written to. The final report covers
+    R@{1, 5, 10} within the gallery plus the tuning metric's k.
 
     Returns
     -------
@@ -231,26 +248,25 @@ def iterative_ensemble(
     """
     if len(models) == 0:
         raise ParameterError("need at least one model score matrix")
-    shape = models[0].data.shape
-    for i, m in enumerate(models):
-        if m.data.shape != shape:
-            raise ShapeError(f"model {i} has shape {m.data.shape}, expected {shape}")
     ids = [f"model-{i}" for i in range(len(models))] if model_ids is None else list(model_ids)
     if len(ids) != len(models):
         raise ParameterError(f"{len(ids)} model ids for {len(models)} models")
 
-    if init_matrix is None:
-        s = np.zeros(shape)
-    elif init_matrix.data.shape != shape:
-        raise ShapeError(f"init matrix has shape {init_matrix.data.shape}, expected {shape}")
-    else:
-        s = minmax_normalize(init_matrix.data) if normalize else init_matrix.data
-
+    s = shape = None
     steps = []
-    for model_id, m in zip(ids, models):
-        t = minmax_normalize(m.data) if normalize else m.data
+    for i, model_id in enumerate(ids):
+        t = _step_matrix(models[i], f"model {i}", shape, normalize)
+        if s is None:
+            shape = t.shape
+            if init_matrix is None:
+                s = np.zeros(shape)
+            else:
+                s = _step_matrix(init_matrix, "init matrix", shape, normalize)
         w, value = sweep_weight(s, t, gt, grid, metric)
-        s = _blend(w, s, t)
+        # Both are this call's own arrays, so the fold writes over them.
+        _blend(w, s, t, out=s, part=t)
+        # Free the spent scratch before the next model is read.
+        del t
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
     fused = ScoreMatrix(s)

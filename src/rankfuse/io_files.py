@@ -31,6 +31,7 @@ from .metrics import GroundTruth, _is_integer
 
 __all__ = [
     "ModelEntry",
+    "array_shape",
     "load_matrix",
     "write_matrix",
     "load_ground_truth",
@@ -53,67 +54,94 @@ class ModelEntry:
     format: str = "array"
 
 
+def _read_header(fh, path) -> tuple[tuple, np.dtype, int]:
+    """Parse the preamble and header at the start of ``fh``.
+
+    Returns the shape, the dtype and the payload's offset. The payload is
+    not read, but a regular file's size is known up front, so there a
+    payload of the wrong length is rejected here; a pipe's is checked as it
+    is read.
+    """
+    head = fh.read(10)
+    if head[:6] != _MAGIC:
+        raise FormatError(f"{path}: bad magic at offset 0 (not an array file)")
+    if len(head) < 10:
+        raise FormatError(f"{path}: truncated before header length at offset {len(head)}")
+    major, minor = head[6], head[7]
+    if (major, minor) != (1, 0):
+        raise FormatError(f"{path}: unsupported format version {major}.{minor} at offset 6")
+    header_len = int.from_bytes(head[8:10], "little")
+    header_end = 10 + header_len
+    raw_header = fh.read(header_len)
+    if len(raw_header) < header_len:
+        raise FormatError(f"{path}: truncated header at offset 10 (declared {header_len} bytes)")
+    try:
+        header = ast.literal_eval(raw_header.decode("latin-1").strip())
+    except (ValueError, SyntaxError) as exc:
+        raise FormatError(f"{path}: unparseable header at offset 10: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header at offset 10 is not a dict")
+
+    descr = header.get("descr")
+    if descr not in _SUPPORTED_DESCR:
+        raise FormatError(
+            f"{path}: unsupported dtype {descr!r} (need little-endian float32/float64)"
+        )
+    if header.get("fortran_order") is not False:
+        raise FormatError(f"{path}: fortran_order must be false (row-major only)")
+    shape = header.get("shape")
+    if (
+        not isinstance(shape, tuple)
+        or len(shape) != 2
+        or not all(_is_integer(d) and d >= 1 for d in shape)
+    ):
+        raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
+
+    dtype = np.dtype(descr)
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        _check_payload(path, header_end, st.st_size - header_end, shape, dtype)
+    return shape, dtype, header_end
+
+
+def _payload_bytes(shape: tuple, dtype: np.dtype) -> int:
+    return shape[0] * shape[1] * dtype.itemsize
+
+
+def _check_payload(path, offset: int, length: int, shape: tuple, dtype: np.dtype) -> None:
+    """Reject a payload of ``length`` bytes at ``offset`` that ``shape`` and ``dtype`` do not imply."""
+    expected = _payload_bytes(shape, dtype)
+    if length != expected:
+        raise FormatError(
+            f"{path}: payload at offset {offset} is {length} bytes, "
+            f"header shape {shape} implies {expected}"
+        )
+
+
+def array_shape(path) -> tuple[int, int]:
+    """The (rows, columns) an array file declares, read from its header alone.
+
+    The header is checked as :func:`load_matrix` checks it, and so is the
+    payload length of a regular file; no payload byte is read, so a finite
+    check waits for the load.
+    """
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)[0]
+
+
 def _load_array(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        head = fh.read(10)
-        if head[:6] != _MAGIC:
-            raise FormatError(f"{path}: bad magic at offset 0 (not an array file)")
-        if len(head) < 10:
-            raise FormatError(f"{path}: truncated before header length at offset {len(head)}")
-        major, minor = head[6], head[7]
-        if (major, minor) != (1, 0):
-            raise FormatError(f"{path}: unsupported format version {major}.{minor} at offset 6")
-        header_len = int.from_bytes(head[8:10], "little")
-        header_end = 10 + header_len
-        raw_header = fh.read(header_len)
-        if len(raw_header) < header_len:
-            raise FormatError(
-                f"{path}: truncated header at offset 10 (declared {header_len} bytes)"
-            )
+        shape, dtype, header_end = _read_header(fh, path)
+        # The payload goes straight into the array, with no whole-file buffer.
         try:
-            header = ast.literal_eval(raw_header.decode("latin-1").strip())
-        except (ValueError, SyntaxError) as exc:
-            raise FormatError(f"{path}: unparseable header at offset 10: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: header at offset 10 is not a dict")
-
-        descr = header.get("descr")
-        if descr not in _SUPPORTED_DESCR:
+            arr = np.empty(shape, dtype=dtype)
+        except MemoryError as exc:
             raise FormatError(
-                f"{path}: unsupported dtype {descr!r} (need little-endian float32/float64)"
-            )
-        if header.get("fortran_order") is not False:
-            raise FormatError(f"{path}: fortran_order must be false (row-major only)")
-        shape = header.get("shape")
-        if (
-            not isinstance(shape, tuple)
-            or len(shape) != 2
-            or not all(_is_integer(d) and d >= 1 for d in shape)
-        ):
-            raise FormatError(f"{path}: shape {shape!r} is not 2-D with positive extents")
-
-        dtype = np.dtype(descr)
-        expected = shape[0] * shape[1] * dtype.itemsize
-        # A regular file's size is known up front, so a wrong payload length
-        # is rejected before the array is allocated; a pipe is checked as it
-        # is read. The payload goes straight into the array, with no
-        # whole-file buffer.
-        st = os.fstat(fh.fileno())
-        payload_len = st.st_size - header_end if stat.S_ISREG(st.st_mode) else expected
-        if payload_len == expected:
-            try:
-                arr = np.empty(shape, dtype=dtype)
-            except MemoryError as exc:
-                raise FormatError(
-                    f"{path}: header shape {shape} implies {expected} payload bytes, "
-                    "more than can be allocated"
-                ) from exc
-            payload_len = fh.readinto(memoryview(arr).cast("B")) + len(fh.read())
-        if payload_len != expected:
-            raise FormatError(
-                f"{path}: payload at offset {header_end} is {payload_len} bytes, "
-                f"header shape {shape} implies {expected}"
-            )
+                f"{path}: header shape {shape} implies {_payload_bytes(shape, dtype)} payload bytes, "
+                "more than can be allocated"
+            ) from exc
+        length = fh.readinto(memoryview(arr).cast("B")) + len(fh.read())
+        _check_payload(path, header_end, length, shape, dtype)
     # A float32 payload is widened into a new array, so the result is always
     # an owned, writable float64 array.
     return _as_matrix(arr, str(path))

@@ -39,6 +39,18 @@ def _as_matrix(data, what: str) -> np.ndarray:
     return arr
 
 
+def _data(x) -> np.ndarray:
+    """The matrix behind ``x``: ``x`` itself if it is an ndarray, else ``x.data``.
+
+    Entry points that take a wrapper or a plain array tell them apart by
+    ``isinstance(x, np.ndarray)``, never by the wrapper's type:
+    ``perfbench/tracer.py`` swaps wrapper names for functions. An array is
+    trusted to be 2-D, finite float64, like a wrapper's data, so a caller
+    that holds checked data pays no second scan.
+    """
+    return x if isinstance(x, np.ndarray) else x.data
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """An n_rows x n_cols bank of feature vectors, one item per row.
@@ -196,12 +208,14 @@ def minmax_normalize(data: np.ndarray) -> np.ndarray:
     """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros.
 
     A value span beyond the float64 maximum cannot be rescaled and raises
-    ``ValidationError``.
+    ``ValidationError``. The result is a new float64 array, the only one
+    allocated: ``(data - lo) / span`` with the division done in place.
     """
     lo, span = _value_span(data, "cannot min-max rescale")
     if span == 0:
-        return np.zeros_like(data)
-    return (data - lo) / span
+        return np.zeros(data.shape)
+    out = np.subtract(data, lo, dtype=np.float64)
+    return np.divide(out, span, out=out)
 
 
 def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:
@@ -222,8 +236,10 @@ def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:
     return ScoreMatrix(np.maximum(p, np.nextafter(0.0, 1.0)), is_probability=True)
 
 
-def topk_rows(s: ScoreMatrix, k: int) -> TopKResult:
+def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     """The k largest entries of each row, in descending order.
+
+    ``s`` is a ``ScoreMatrix`` or a finite float64 array (see ``_data``).
 
     Equal values (``0.0`` and ``-0.0`` included) go to the lower gallery
     index, both in which columns are kept and in their order, so the result
@@ -236,8 +252,8 @@ def topk_rows(s: ScoreMatrix, k: int) -> TopKResult:
     is O(m) per row plus O(k log k) for the order, against O(m log m) for a
     full sort of an m-column row.
     """
-    data = s.data
-    n_cols = s.n_gallery
+    data = _data(s)
+    n_cols = data.shape[1]
     if not 1 <= k <= n_cols:
         raise ParameterError(f"k must be in [1, {n_cols}], got {k}")
     if k == 1:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .matrix_ops import ScoreMatrix, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
+from .matrix_ops import ScoreMatrix, _data, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
 
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
 
@@ -218,16 +218,21 @@ def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     return ranks
 
 
-def recall_at_k(s: ScoreMatrix, gt: GroundTruth, k: int) -> float:
+def recall_at_k(s: np.ndarray | ScoreMatrix, gt: GroundTruth, k: int) -> float:
     """Fraction of queries whose top-k ranked items intersect the relevant set."""
     return metrics_report(s, gt, [k]).r_at[k]
 
 
-def metrics_report(s: ScoreMatrix, gt: GroundTruth, ks: Sequence[int] | Iterable[int]) -> RetrievalMetrics:
+def metrics_report(
+    s: np.ndarray | ScoreMatrix, gt: GroundTruth, ks: Sequence[int] | Iterable[int]
+) -> RetrievalMetrics:
     """Recall at every k in ``ks``.
 
-    A single :func:`query_ranks` pass serves all requested cutoffs.
+    ``s`` is a ``ScoreMatrix`` or a finite float64 array, such as one
+    :func:`rankfuse.io_files.load_matrix` returned. A single
+    :func:`query_ranks` pass serves all requested cutoffs.
     """
+    data = _data(s)
     ks = list(ks)
     bad = [k for k in ks if not _is_integer(k)]
     if bad:
@@ -235,8 +240,8 @@ def metrics_report(s: ScoreMatrix, gt: GroundTruth, ks: Sequence[int] | Iterable
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise ParameterError("ks must be non-empty")
-    if ks[0] < 1 or ks[-1] > s.n_gallery:
-        raise ParameterError(f"every k must be in [1, {s.n_gallery}], got {ks}")
-    ranks = query_ranks(s.data, gt)
-    r_at = {k: int(np.count_nonzero(ranks < k)) / s.n_queries for k in ks}
-    return RetrievalMetrics(r_at=r_at, n_queries=s.n_queries)
+    if ks[0] < 1 or ks[-1] > gt.gallery_size:
+        raise ParameterError(f"every k must be in [1, {gt.gallery_size}], got {ks}")
+    ranks = query_ranks(data, gt)
+    r_at = {k: int(np.count_nonzero(ranks < k)) / gt.n_queries for k in ks}
+    return RetrievalMetrics(r_at=r_at, n_queries=gt.n_queries)

@@ -19,6 +19,7 @@ from .matrix_ops import (
     EmbeddingMatrix,
     ScoreMatrix,
     _as_matrix,
+    _data,
     _value_span,
     minmax_normalize,
     topk_rows,
@@ -37,14 +38,14 @@ _CANDIDATE_BAND_OFFSET = 2.0
 class SelectedFeatures:
     """Top-k candidates per query: gallery indices, guidance scores, feature rows.
 
-    The full guidance matrix is retained so reranking can place the
-    unselected gallery items deterministically.
+    The full guidance matrix is retained, as it was given, so reranking can
+    place the unselected gallery items deterministically.
     """
 
     indices: np.ndarray  # (n_queries, k) int64
     guidance_scores: np.ndarray  # (n_queries, k), non-increasing per row
     features: np.ndarray  # (n_queries, k, dim)
-    guidance: ScoreMatrix
+    guidance: np.ndarray | ScoreMatrix
 
     @property
     def n_queries(self) -> int:
@@ -63,22 +64,23 @@ class SelectedFeatures:
 
 
 def select_topk_features(
-    features: EmbeddingMatrix, guidance: ScoreMatrix, k: int = DEFAULT_K
+    features: np.ndarray | EmbeddingMatrix, guidance: np.ndarray | ScoreMatrix, k: int = DEFAULT_K
 ) -> SelectedFeatures:
     """For each guidance row, pick the k gallery items with the highest score.
 
     Ties go to the lower gallery index. ``guidance`` columns must align with
-    ``features`` rows.
+    ``features`` rows. Either may be a wrapper or a finite float64 array.
     """
-    if guidance.n_gallery != features.n_rows:
+    bank, n_gallery = _data(features), _data(guidance).shape[1]
+    if n_gallery != bank.shape[0]:
         raise ShapeError(
-            f"guidance has {guidance.n_gallery} columns but feature bank has {features.n_rows} rows"
+            f"guidance has {n_gallery} columns but feature bank has {bank.shape[0]} rows"
         )
     top = topk_rows(guidance, k)
     return SelectedFeatures(
         indices=top.indices,
         guidance_scores=top.values,
-        features=features.data[top.indices],
+        features=bank[top.indices],
         guidance=guidance,
     )
 
@@ -97,7 +99,7 @@ def rerank_selected(selected: SelectedFeatures, match_scores: np.ndarray) -> Sco
             f"match scores shape {scores.shape} does not match selection shape {selected.indices.shape}"
         )
     lo, _ = _value_span(scores, "cannot band the match scores")
-    out = minmax_normalize(selected.guidance.data)
+    out = minmax_normalize(_data(selected.guidance))
     banded = scores - lo + _CANDIDATE_BAND_OFFSET
     np.put_along_axis(out, selected.indices, banded, axis=1)
     return ScoreMatrix(out)

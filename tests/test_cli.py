@@ -1,7 +1,13 @@
 import json
+import os
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 
+import rankfuse.cli
+import rankfuse.io_files
+import rankfuse.matrix_ops
 from rankfuse.cli import run_cli
 from rankfuse.io_files import load_matrix, write_manifest, write_matrix
 from rankfuse.matrix_ops import EmbeddingMatrix, cosine_similarity
@@ -223,6 +229,158 @@ class TestEnsembleCommand:
             "models": [{"name": "bad", "path": "bad.npy"}],
         }))
         assert_rejects_naming(base + ["--model", good], bad, capsys)
+
+
+def count_finite_scans(monkeypatch) -> Counter:
+    """Count ``_as_matrix`` calls, the finite scans, by the name each gives its matrix."""
+    calls = Counter()
+    scan = rankfuse.matrix_ops._as_matrix
+
+    def counted(data, what):
+        calls[what] += 1
+        return scan(data, what)
+
+    monkeypatch.setattr(rankfuse.matrix_ops, "_as_matrix", counted)
+    monkeypatch.setattr(rankfuse.io_files, "_as_matrix", counted)
+    return calls
+
+
+def record_loads(monkeypatch) -> list:
+    """Paths passed to the CLI's ``load_matrix``, in call order."""
+    loads = []
+    load = rankfuse.cli.load_matrix
+
+    def recorded(path, *args):
+        loads.append(str(path))
+        return load(path, *args)
+
+    monkeypatch.setattr(rankfuse.cli, "load_matrix", recorded)
+    return loads
+
+
+def write_models(tmp_path, shapes, n=4, m=5):
+    """A manifest over array models of the given shapes (None: n x m), named m<i>.npy."""
+    rng = np.random.default_rng(17)
+    names = []
+    for i, shape in enumerate(shapes):
+        write_matrix(rng.random(shape or (n, m)), tmp_path / f"m{i}.npy")
+        names.append(f"m{i}")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "n_queries": n, "n_gallery": m, "relevant": [[q] for q in range(n)],
+        "models": [{"name": x, "path": f"{x}.npy"} for x in names],
+    }))
+    return manifest
+
+
+class TestStreamedEnsemble:
+    """``ensemble`` checks every file up front and holds one array model at a time."""
+
+    def test_wrong_shape_named_before_any_payload_is_read(self, tmp_path, capsys, monkeypatch):
+        loads = record_loads(monkeypatch)
+        out = tmp_path / "f.npy"
+        for position in range(3):
+            shapes = [None] * 3
+            shapes[position] = (4, 6)
+            manifest = write_models(tmp_path, shapes)
+            argv = ["ensemble", "--manifest", str(manifest), "--out", str(out)]
+            assert_rejects_naming(argv, tmp_path / f"m{position}.npy", capsys)
+            assert loads == [] and not out.exists()
+        manifest = write_models(tmp_path, [None] * 3)
+        write_matrix(np.eye(3), tmp_path / "init.npy")
+        argv = ["ensemble", "--manifest", str(manifest), "--out", str(out),
+                "--init-matrix", str(tmp_path / "init.npy")]
+        assert_rejects_naming(argv, tmp_path / "init.npy", capsys)
+        assert loads == [] and not out.exists()
+        # A file cut short is caught from its size, before any load too.
+        cut = tmp_path / "m2.npy"
+        cut.write_bytes(cut.read_bytes()[:-8])
+        assert_rejects_naming(argv[:-2], cut, capsys)
+        assert loads == [] and not out.exists()
+
+    def test_csv_models_are_read_up_front(self, tmp_path, capsys, monkeypatch):
+        manifest = write_models(tmp_path, [None] * 3)
+        doc = json.loads(manifest.read_text())
+        doc["models"][1] = {"name": "m1", "path": "m1.csv", "format": "csv"}
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "f.npy"
+        argv = ["ensemble", "--manifest", str(manifest), "--out", str(out)]
+        # A CSV model of the wrong shape in position 2.
+        write_matrix(np.ones((4, 6)), tmp_path / "m1.csv", "csv")
+        assert_rejects_naming(argv, tmp_path / "m1.csv", capsys)
+        assert not out.exists()
+        # Of the right shape, it is parsed before the array models are loaded
+        # and fuses to the same bytes as its array twin.
+        write_matrix(load_matrix(tmp_path / "m1.npy"), tmp_path / "m1.csv", "csv")
+        loads = record_loads(monkeypatch)
+        assert run_cli(argv) == 0
+        assert loads == [str(tmp_path / name) for name in ("m1.csv", "m0.npy", "m2.npy")]
+        doc["models"][1] = {"name": "m1", "path": "m1.npy"}
+        manifest.write_text(json.dumps(doc))
+        twin = tmp_path / "twin.npy"
+        assert run_cli(["ensemble", "--manifest", str(manifest), "--out", str(twin)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == twin.read_bytes()
+
+    def test_model_from_a_pipe_is_read_up_front(self, tmp_path, capsys):
+        manifest = write_models(tmp_path, [None] * 2)
+        extra = tmp_path / "extra.npy"
+        write_matrix(np.random.default_rng(3).random((4, 5)), extra)
+        base = ["ensemble", "--manifest", str(manifest), "--grid", "0,0.5,0.9"]
+        assert run_cli(base + ["--model", str(extra), "--out", str(tmp_path / "a.npy")]) == 0
+        r, w = os.pipe()
+        try:
+            os.write(w, extra.read_bytes())
+            os.close(w)
+            assert run_cli(base + ["--model", f"/dev/fd/{r}", "--out", str(tmp_path / "b.npy")]) == 0
+        finally:
+            os.close(r)
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
+
+    def test_each_file_scanned_once(self, tmp_path, capsys, monkeypatch):
+        # ensemble, eval and select hand the checked arrays on; sim still wraps them.
+        manifest = write_models(tmp_path, [None] * 2)
+        doc = json.loads(manifest.read_text())
+        write_matrix(load_matrix(tmp_path / "m1.npy"), tmp_path / "m1.csv", "csv")
+        doc["models"][1] = {"name": "m1", "path": "m1.csv", "format": "csv"}
+        manifest.write_text(json.dumps(doc))
+        write_matrix(np.random.default_rng(4).random((4, 5)), tmp_path / "extra.npy")
+        write_matrix(np.random.default_rng(5).random((4, 5)), tmp_path / "init.npy")
+        files = [str(tmp_path / name) for name in ("extra.npy", "m0.npy", "m1.csv", "init.npy")]
+        out = str(tmp_path / "f.npy")
+        calls = count_finite_scans(monkeypatch)
+        assert run_cli(["ensemble", "--manifest", str(manifest), "--out", out,
+                        "--model", files[0], "--init-matrix", files[3]]) == 0
+        # Each input once, and the fused result once.
+        assert calls == Counter({**{f: 1 for f in files}, "score matrix": 1})
+        calls.clear()
+        for scores in (out, files[2]):
+            assert run_cli(["eval", "--scores", scores, "--gt", str(manifest)]) == 0
+            assert calls == Counter({scores: 1})
+            calls.clear()
+        bank = str(tmp_path / "bank.npy")
+        write_matrix(np.random.default_rng(6).random((5, 3)), bank)
+        argv = ["select", "--features", bank, "--guidance", out, "--k", "2",
+                "--out", str(tmp_path / "top.csv")]
+        assert run_cli(argv) == 0
+        assert calls == Counter({bank: 1, out: 1})
+        capsys.readouterr()
+
+    def test_peak_memory_holds_one_model_at_a_time(self, tmp_path, capsys):
+        n, m = 500, 2000
+        manifest = write_models(tmp_path, [None] * 4, n, m)
+        argv = ["ensemble", "--manifest", str(manifest), "--out", str(tmp_path / "f.npy")]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # The accumulator, the model being read and its rescaled copy; the
+        # four models together would be 4 matrices on their own.
+        assert peak < 3.5 * n * m * 8
 
 
 class TestSelectCommand:

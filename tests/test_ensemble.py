@@ -1,4 +1,5 @@
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -434,6 +435,83 @@ class TestIterativeEnsemble:
                 WeightGrid((0.5,)),
                 model_ids=["a", "b"],
             )
+
+
+class Recording(Sequence):
+    """A sequence of matrices that records every index read from it."""
+
+    def __init__(self, items):
+        self.items = list(items)
+        self.reads = []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return self.items[i]
+
+
+class TestStreamedFusion:
+    """``iterative_ensemble`` reads each model once, at its step, and writes to no input."""
+
+    def test_each_model_read_once_in_order(self):
+        rng = np.random.default_rng(31)
+        gt = GroundTruth.identity(6)
+        for init in (None, rng.random((6, 6))):
+            models = Recording(rng.random((6, 6)) for _ in range(4))
+            iterative_ensemble(models, gt, WeightGrid((0.0, 0.5, 0.9)), init_matrix=init)
+            assert models.reads == [0, 1, 2, 3]
+
+    def test_count_errors_before_any_read(self):
+        gt = GroundTruth.identity(2)
+        empty = Recording([])
+        with pytest.raises(ParameterError):
+            iterative_ensemble(empty, gt, WeightGrid((0.5,)))
+        models = Recording([np.eye(2), np.eye(2)])
+        with pytest.raises(ParameterError):
+            iterative_ensemble(models, gt, WeightGrid((0.5,)), model_ids=["a"])
+        assert empty.reads == models.reads == []
+
+    def test_shape_checked_when_its_step_starts(self):
+        gt = GroundTruth.identity(2)
+        models = Recording([np.eye(2), np.eye(2), np.eye(3), np.eye(2)])
+        with pytest.raises(ShapeError, match=r"model 2 has shape \(3, 3\), expected \(2, 2\)"):
+            iterative_ensemble(models, gt, WeightGrid((0.5,)))
+        assert models.reads == [0, 1, 2]
+        models = Recording([ScoreMatrix(np.eye(2))])
+        with pytest.raises(ShapeError, match=r"init matrix has shape \(3, 3\)"):
+            iterative_ensemble(models, gt, WeightGrid((0.5,)), init_matrix=np.eye(3))
+
+    def test_inputs_bit_unchanged_and_fold_matches_out_of_place(self):
+        rng = np.random.default_rng(32)
+        gt = GroundTruth(
+            relevant=tuple(rng.choice(9, size=2, replace=False) for _ in range(7)), gallery_size=9
+        )
+        grid = (0.0, 0.5, 0.8, 0.9, 1.0)
+        for normalize in (True, False):
+            for with_init in (False, True):
+                mats = [rng.uniform(-3, 5, (7, 9)) for _ in range(3)]
+                init = rng.uniform(-1, 2, (7, 9)) if with_init else None
+                before = [m.tobytes() for m in mats] + ([init.tobytes()] if with_init else [])
+                results = []
+                # Plain arrays, wrappers, and the same array fused twice.
+                for models in (mats, [ScoreMatrix(m) for m in mats], [mats[0], mats[0], mats[1]]):
+                    fused, trace = iterative_ensemble(
+                        models, gt, WeightGrid(grid), RecallAtK(2), normalize, init
+                    )
+                    after = [m.tobytes() for m in mats] + ([init.tobytes()] if with_init else [])
+                    assert after == before
+                    results.append((fused, trace))
+                    # Rebuild out of place: fresh w*s and (1-w)*t at every step.
+                    prep = minmax_normalize if normalize else (lambda x: x)
+                    s = np.zeros((7, 9)) if init is None else prep(init)
+                    for m, step in zip(models, trace.steps):
+                        t = prep(m if isinstance(m, np.ndarray) else m.data)
+                        s = step.chosen_w * s + (1.0 - step.chosen_w) * t
+                    assert fused.data.tobytes() == s.tobytes()
+                assert results[0][0].data.tobytes() == results[1][0].data.tobytes()
+                assert results[0][1] == results[1][1]
 
 
 class TestHelpers:

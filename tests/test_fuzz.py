@@ -4,6 +4,11 @@ Every case corrupts one input file of a small valid instance (a manifest, an
 array file or a CSV file) with a seeded mutation, then runs ``eval``,
 ``ensemble`` or ``sim`` on it. Whatever the bytes, the command must exit 0
 or 1, print no traceback, and on exit 1 name the corrupted file.
+
+A second gate breaks the header or payload of a later model of a
+three-model ``ensemble``, which checks every header before it loads any
+model and then loads one model per step: each case must exit 1 naming the
+file and write no output.
 """
 
 import json
@@ -11,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+import rankfuse.cli
 from rankfuse.cli import run_cli
 from rankfuse.io_files import write_matrix
 
@@ -195,3 +201,78 @@ def test_mutated_inputs_exit_0_or_1_naming_the_file(tmp_path, capsys, cases):
             (tmp_path / target).write_bytes(valid[target])
     # The mutations must mostly break their file, and some must leave it valid.
     assert exits[1] > exits[0] > 0
+
+
+def broken_array(rng, rows, cols):
+    """An array file that is invalid, and whether its header or size shows it.
+
+    The header gets a wrong shape, dtype, order, magic, version or length
+    field, or is cut short; or the payload is cut short, grown, or given a
+    non-finite value, which only a full load can see.
+    """
+    payload = rng.standard_normal((rows, cols)).astype("<f8")
+    valid = array_bytes(shape="(%d, %d)" % (rows, cols), payload=payload.tobytes())
+    kind = int(rng.integers(0, 9))
+    if kind == 0:
+        shapes = ["(%d, %d)" % (cols, rows), "(%d, %d)" % (rows + 1, cols), "(%d,)" % rows,
+                  "(%d, %d, 1)" % (rows, cols), "(0, %d)" % cols, "(-1, %d)" % cols,
+                  "(True, %d)" % cols, "'x'", "None"]
+        return array_bytes(shape=pick(rng, shapes), payload=payload.tobytes()), True
+    if kind == 1:
+        descr = pick(rng, ["<f4", ">f8", "<i8", "|b1", "<c16", 5])
+        return array_bytes(shape="(%d, %d)" % (rows, cols), descr=descr,
+                           payload=payload.tobytes()), True
+    if kind == 2:
+        return array_bytes(shape="(%d, %d)" % (rows, cols), fortran=pick(rng, ["True", "0", "None"]),
+                           payload=payload.tobytes()), True
+    if kind == 3:
+        i = int(rng.integers(0, 8))
+        return valid[:i] + bytes([valid[i] ^ 0x40]) + valid[i + 1:], True
+    if kind == 4:
+        field = int.from_bytes(valid[8:10], "little") + int(rng.choice([-9, -1, 1, 9]))
+        return valid[:8] + field.to_bytes(2, "little") + valid[10:], True
+    header_end = 10 + int.from_bytes(valid[8:10], "little")
+    if kind == 5:
+        return valid[:int(rng.integers(0, header_end))], True
+    if kind == 6:
+        return valid[:len(valid) - int(rng.integers(1, 9 * 8))], True
+    if kind == 7:
+        return valid + bytes(int(rng.integers(1, 17))), True
+    flat = payload.reshape(-1)
+    flat[int(rng.integers(0, flat.size))] = pick(rng, [np.nan, np.inf, -np.inf])
+    return array_bytes(shape="(%d, %d)" % (rows, cols), payload=payload.tobytes()), False
+
+
+def test_later_model_broken_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    names = ["a.npy", "b.npy", "c.npy"]
+    rng = np.random.default_rng(20261)
+    for name in names:
+        write_matrix(rng.random((N_QUERIES, N_GALLERY)), tmp_path / name)
+    doc = manifest_doc()
+    doc["models"] = [{"name": name[0], "path": name} for name in names]
+    (tmp_path / "three.json").write_text(json.dumps(doc))
+    out = tmp_path / "fused.npy"
+    argv = ["ensemble", "--manifest", str(tmp_path / "three.json"), "--out", str(out)]
+    loads = []
+    load = rankfuse.cli.load_matrix
+    monkeypatch.setattr(rankfuse.cli, "load_matrix", lambda p, *a: loads.append(p) or load(p, *a))
+    up_front = 0
+    for case in range(80):
+        target = tmp_path / names[1 + case % 2]
+        valid = target.read_bytes()
+        data, visible = broken_array(rng, N_QUERIES, N_GALLERY)
+        target.write_bytes(data)
+        loads.clear()
+        rc = run_cli(argv)
+        err = capsys.readouterr().err
+        what = f"{target.name} = {data[:90]!r}: exit {rc}, stderr {err!r}"
+        assert rc == 1, what
+        assert str(target) in err, what
+        assert "Traceback" not in err, what
+        assert not out.exists(), what
+        # What the header or the file size shows is caught before any load.
+        if visible:
+            assert loads == [], what
+            up_front += 1
+        target.write_bytes(valid)
+    assert 0 < up_front < 80

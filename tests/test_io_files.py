@@ -10,6 +10,7 @@ from rankfuse.cli import run_cli
 from rankfuse.errors import FormatError, ValidationError
 from rankfuse.io_files import (
     ModelEntry,
+    array_shape,
     load_ground_truth,
     load_manifest,
     load_matrix,
@@ -161,6 +162,26 @@ class TestArrayFormat:
                         load_matrix(f"/dev/fd/{r}")
             finally:
                 os.close(r)
+
+    def test_header_read_alone_rejects_what_the_load_rejects(self, tmp_path):
+        p = tmp_path / "m.npy"
+        bad = [b"JUNKJUNKJUNK", npy_bytes(version=(2, 0)), npy_bytes(fortran=True),
+               npy_bytes(descr="<i8"), npy_bytes(shape=(True, True)), npy_bytes()[:20],
+               npy_bytes(shape=(2, 2), payload=b"\x00" * 33)]
+        for data in bad:
+            p.write_bytes(data)
+            with pytest.raises(FormatError) as from_load:
+                load_matrix(p)
+            with pytest.raises(FormatError) as from_header:
+                array_shape(p)
+            assert str(from_header.value) == str(from_load.value)
+        # The header gives the shape; a non-finite payload waits for the load.
+        arr = np.zeros((2, 3))
+        arr[1, 2] = np.nan
+        np.save(p, arr)
+        assert array_shape(p) == (2, 3)
+        with pytest.raises(ValidationError, match=r"\(1, 2\)"):
+            load_matrix(p)
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "trunc.npy"

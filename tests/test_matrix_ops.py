@@ -153,6 +153,8 @@ class TestTopkRows:
                 np.testing.assert_array_equal(
                     topk_rows(s, k).indices, brute_force_topk(data, k)
                 )
+                # A plain finite float64 array is taken as given.
+                np.testing.assert_array_equal(topk_rows(data, k).indices, brute_force_topk(data, k))
         # Tie-heavy rows: 1-5 integer levels, all-equal rows, 0.0 mixed with
         # -0.0. Every k is tried, so k lands inside tie runs and at k = m;
         # the values must match bit for bit, signed zeros included.

@@ -33,6 +33,13 @@ class TestSelectTopkFeatures:
             guidance = rng.random((10, 10))
             selected = select_topk_features(features, ScoreMatrix(guidance), k=5)
             np.testing.assert_array_equal(selected.indices, brute_force_select(guidance, 5))
+            # Plain arrays select the same rows, and rerank the same way.
+            plain = select_topk_features(features.data, guidance, k=5)
+            np.testing.assert_array_equal(plain.indices, selected.indices)
+            np.testing.assert_array_equal(plain.features, selected.features)
+            match = rng.random((10, 5))
+            assert (rerank_selected(plain, match).data.tobytes()
+                    == rerank_selected(selected, match).data.tobytes())
 
     def test_indices_equal_topk_rows(self):
         rng = np.random.default_rng(1)
@@ -63,6 +70,8 @@ class TestSelectTopkFeatures:
             select_topk_features(
                 EmbeddingMatrix(np.eye(4)), ScoreMatrix(np.ones((2, 3))), k=1
             )
+        with pytest.raises(ShapeError):
+            select_topk_features(np.eye(4), np.ones((2, 3)), k=1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ParameterError):

@@ -115,3 +115,23 @@ def test_cli_ensemble_and_eval_are_byte_identical_when_traced(tmp_path, capsys):
     outputs, tracer = traced(lambda: pipeline(tmp_path / "traced"))
     assert outputs == plain
     assert score_matrix_builds_in_fusion(tracer) == 1
+
+
+def test_cli_select_on_plain_arrays_is_byte_identical_when_traced(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert rankfuse.cli.run_cli(["synth", "--out-dir", str(data), "--n-items", "20"]) == 0
+    capsys.readouterr()
+
+    def select(out):
+        argv = ["select", "--features", str(data / "image.npy"),
+                "--guidance", str(data / "model-0.npy"), "--k", "3", "--out", str(out)]
+        assert rankfuse.cli.run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        return out.read_bytes()
+
+    plain = select(tmp_path / "plain.csv")
+    traced_bytes, tracer = traced(lambda: select(tmp_path / "traced.csv"))
+    assert traced_bytes == plain
+    # The top-k span counts its rows off the plain array the CLI passed.
+    counts = [s["counts"] for s in tracer.spans if s["name"] == "matrix_ops.topk_rows"]
+    assert counts == [{"ordered": 20 * 20, "kept": 20 * 3}]
