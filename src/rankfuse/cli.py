@@ -26,7 +26,7 @@ import numpy as np
 from . import ensemble as ens
 from . import losses as ls
 from . import view_sampling as vs
-from .errors import ParameterError, RankfuseError, ShapeError
+from .errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from .io_files import (
     ModelEntry,
     array_shape,
@@ -162,15 +162,25 @@ def _cmd_ensemble(args) -> int:
     if args.init_matrix:
         fmt = _infer_format(args.init_matrix, args.format)
         init = _staged(args.init_matrix, fmt, expected, source)()
-    fused, trace = ens.iterative_ensemble(
-        models,
-        gt,
-        grid,
-        metric=metric,
-        normalize=not args.no_normalize,
-        init_matrix=init,
-        model_ids=[e.name for e in entries],
-    )
+    # iterative_ensemble names a model it cannot rescale by its label.
+    paths = {f"model {i}": e.path for i, e in enumerate(entries)}
+    if args.init_matrix:
+        paths["init matrix"] = args.init_matrix
+    try:
+        fused, trace = ens.iterative_ensemble(
+            models,
+            gt,
+            grid,
+            metric=metric,
+            normalize=not args.no_normalize,
+            init_matrix=init,
+            model_ids=[e.name for e in entries],
+        )
+    except ValidationError as exc:
+        label, sep, rest = str(exc).partition(": ")
+        if not sep or label not in paths:
+            raise
+        raise ValidationError(f"{paths[label]}: {rest}") from None
     write_matrix(fused, args.out, _infer_format(args.out, args.out_format))
     report = ens.format_trace(trace)
     if args.trace:
@@ -186,10 +196,9 @@ def _cmd_select(args) -> int:
     rows = f"the rows of {args.features}"
     _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
+    lines = "".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist())
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in selected.indices:
-            fh.write(",".join(str(int(i)) for i in row))
-            fh.write("\n")
+        fh.write(lines)
     print(f"wrote top-{selected.k} indices for {selected.n_queries} queries to {args.out}")
     return 0
 

@@ -11,8 +11,9 @@ order-dependent on purpose: later models gradually refine the accumulated
 matrix.
 
 Because the fused operand at the first step is all-zero, every w < 1 there
-produces the same ranking (positive rescaling of the first model), and the
-smallest-w tie-break keeps the sweep deterministic.
+produces the same ranking (positive rescaling of the first model), up to
+the ties that rounding ``(1 - w) * t`` can create between close scores, and
+the smallest-w tie-break keeps the sweep deterministic.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, ValidationError
 from .matrix_ops import ScoreMatrix, _data, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
+    _BLOCK_CELLS,
     GroundTruth,
     RetrievalMetrics,
     _best_relevant,
@@ -118,40 +120,138 @@ def _blend(w, s: np.ndarray, t: np.ndarray, out=None, part=None) -> np.ndarray:
     return np.add(out, part, out=out)
 
 
+# The float32 filter of the k > 1 sweep (see _filter_ranks). Let u = 2**-24,
+# float32's unit roundoff, and M = w*max|S_blk| + (1-w)*max|T_blk| for a block
+# and weight. Row by row, the filter value x_j of item j approximates
+# a_j - v, the float64 blend at j minus the query's best relevant score v:
+# - dS_j = f32(s_j - s_lead) with |s_j - s_lead| <= 2*max|S_blk| is off by
+#   u (plus 2**-53 from the float64 difference), f32(w) by u, and their
+#   product rounds once more: at most 3u * 2w*max|S_blk|. The T term adds
+#   3u * 2(1-w)*max|T_blk|, and their sum, at most 2M, rounds by 2uM: 8uM.
+# - An offset o = f32(v - a_lead), at most 2M, is off by 2uM, and x_j = e_j - o,
+#   at most 4M, rounds by 4uM: 14uM in all.
+# - The float64 blends a_j are off by about 2**-52 * M each. Subnormal
+#   float32 results lose at most 2**-150 each, far below u*M while M is at
+#   least 2**-100, which also keeps f32(g) normal and its rounding small.
+# So with g = 16uM, x_j > g proves a_j > v, x_j < -g proves a_j < v, and the
+# best relevant item itself has |x| <= g. Past these bounds a block takes the
+# float64 kernel: magnitudes up to 2**100 keep every float32 value (at most
+# 2**103) finite, and a nonzero weight of at least 2**-100 keeps f32(w)
+# normal (1 - w >= 2**-53 whenever w < 1).
+_GUARD = 16 * 2.0**-24
+_F32_MAX, _F32_MIN = 2.0**100, 2.0**-100
+
+
+def _filter_ranks(
+    ds: np.ndarray,
+    dt: np.ndarray,
+    w: float,
+    off: np.ndarray,
+    guard: float,
+    x: np.ndarray,
+    part: np.ndarray,
+    mask: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Float32 ranks of one block at weight ``w``, and the rows they cannot decide.
+
+    ``ds`` and ``dt`` are the block's scores less each row's lead relevant
+    score, in float32, and ``off`` is each row's best relevant blend less
+    its lead one, also in float32 (all zero when every row's lead is its
+    best). Each row's count of ``x > guard`` is written to ``out``, whose
+    dtype the counts are summed in. A row is decided when nothing but its
+    best relevant item lies in ``[-guard, guard]``; one whole-block count
+    proves that for every row at once, and only otherwise are the rows
+    counted one by one. Returns the indices of the undecided rows. ``x``,
+    ``part`` and ``mask`` are caller-owned buffers of the block's shape.
+    """
+    np.multiply(ds, np.float32(w), out=x)
+    np.add(x, np.multiply(dt, np.float32(1.0 - w), out=part), out=x)
+    if off.any():
+        np.subtract(x, off[:, None], out=x)
+    g = np.float32(guard)
+    np.greater(x, g, out=mask)
+    ranks = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype, out=out)
+    np.greater_equal(x, -g, out=mask)
+    if np.count_nonzero(mask) == int(ranks.sum()) + len(ranks):
+        return np.empty(0, np.intp)
+    in_band = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype) - ranks
+    return np.flatnonzero(in_band > 1)
+
+
 def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
     """Recall@k of ``_blend(w, s, t)`` for every w in ``weights``, in order.
 
     The best relevant scores come from the (query, item) pairs alone, once
-    for the whole grid. The rows are then walked in blocks: each block is
-    blended into two reused buffers and scored for every w while its rows of
-    s and t are still in cache, and the hits are counted per w at the end.
-    At k = 1 a block is scored by its rows' ``argmax``, the lowest index of
-    each row's maximum: a query is a hit exactly when that is its lowest
-    best relevant item, so nothing is compared or counted per block. At
-    k > 1 :func:`rankfuse.metrics._count_ranks` counts ranks, with the spent
-    second blend buffer as its threshold buffer and one bool mask reused for
-    every block and w.
+    for the whole grid. The rows are then walked in blocks, each scored for
+    every w while its rows of s and t are still in cache, and the hits are
+    counted per w at the end. At k = 1 a block is blended into two reused
+    buffers and scored by its rows' ``argmax``, the lowest index of each
+    row's maximum: a query is a hit exactly when that is its lowest best
+    relevant item, so nothing is compared or counted per block. At k > 1 a
+    block is copied to float32 once, less each row's lead (first) relevant
+    score, and :func:`_filter_ranks` ranks it at every w, at half the bytes,
+    against a guard band that bounds its rounding error. The rows it cannot
+    decide, and every block or weight outside the float32 bounds, are
+    blended in float64 and ranked by :func:`rankfuse.metrics._count_ranks`,
+    so every rank is exact.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
-    best, first = _best_relevant(_blend(np.array(weights)[:, None], s[pairs], t[pairs]), gt)
-    rows = _block_rows(t.shape)
+    sp, tp = s[pairs], t[pairs]
+    vals = _blend(np.array(weights)[:, None], sp, tp)
+    best, first = _best_relevant(vals, gt)
+    if k == 1:
+        rows = _block_rows(t.shape)
+        blend, part = np.empty((rows, m)), np.empty((rows, m))
+        found = np.empty((len(weights), n), np.intp)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            a, b = blend[: hi - lo], part[: hi - lo]
+            for i, wi in enumerate(weights):
+                _blend(wi, s[lo:hi], t[lo:hi], out=a, part=b)
+                np.argmax(a, axis=1, out=found[i, lo:hi])
+        hits = np.count_nonzero(found == first, axis=1)
+        return [int(h) / n for h in hits]
+
+    # A float32 block of twice the cells has the bytes of a float64 one.
+    rows = min(n, max(1, 2 * _BLOCK_CELLS // m))
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
-    # Per w and query: the argmax at k = 1, else the rank.
-    found = np.empty((len(weights), n), np.intp if k == 1 else np.uint32)
+    ds, dt, x, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
+    # numpy sums uint8 into uint16 faster than into uint32.
+    ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
+    lead = gt._starts
+    s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        a, b = blend[: hi - lo], part[: hi - lo]
+        r = hi - lo
+        s_max = max(s[lo:hi].max(), -s[lo:hi].min())
+        t_max = max(t[lo:hi].max(), -t[lo:hi].min())
+        fits = max(s_max, t_max) <= _F32_MAX
+        if fits:
+            # Differences of at most 2**101: finite in float64 and in float32.
+            np.subtract(s[lo:hi], s_lead[lo:hi, None], out=ds[:r])
+            np.subtract(t[lo:hi], t_lead[lo:hi, None], out=dt[:r])
+            off = (best[:, lo:hi] - vals_lead[:, lo:hi]).astype(np.float32)
         for i, wi in enumerate(weights):
-            _blend(wi, s[lo:hi], t[lo:hi], out=a, part=b)
-            if k == 1:
-                np.argmax(a, axis=1, out=found[i, lo:hi])
-            else:
-                _count_ranks(
-                    a, best[i, lo:hi], first[i, lo:hi], b, mask[: hi - lo], found[i, lo:hi]
+            scale = wi * s_max + (1.0 - wi) * t_max
+            q = slice(lo, hi)
+            if fits and scale >= _F32_MIN and not 0.0 < wi < _F32_MIN:
+                undecided = _filter_ranks(
+                    ds[:r], dt[:r], wi, off[i], _GUARD * scale, x[:r], part32[:r], mask[:r],
+                    ranks[i, lo:hi],
                 )
-    hits = np.count_nonzero(found == first if k == 1 else found < k, axis=1)
+                if not len(undecided):
+                    continue
+                q = lo + undecided
+            sq = s[q]
+            c = len(sq)
+            a = _blend(wi, sq, t[q], out=blend[:c], part=part[:c])
+            ranks[i, q] = _count_ranks(
+                a, best[i, q], first[i, q], part[:c], mask[:c], np.empty(c, np.uint32)
+            )
+    hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 
 
@@ -189,12 +289,18 @@ def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool)
     """A new float64 array of ``x``'s scores, min-max rescaled under ``normalize``.
 
     ``x`` must have ``shape``, unless that is None. The caller owns the
-    result, so a fold may write over it without touching ``x``.
+    result, so a fold may write over it without touching ``x``. A span that
+    cannot be rescaled raises ``ValidationError`` prefixed with ``what``.
     """
     data = _data(x)
     if shape is not None and data.shape != shape:
         raise ShapeError(f"{what} has shape {data.shape}, expected {shape}")
-    return minmax_normalize(data) if normalize else np.array(data, dtype=np.float64)
+    if not normalize:
+        return np.array(data, dtype=np.float64)
+    try:
+        return minmax_normalize(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def iterative_ensemble(
@@ -234,12 +340,14 @@ def iterative_ensemble(
     Arrays, told apart from ``ScoreMatrix`` by ``isinstance(x, np.ndarray)``
     as in :func:`sweep_weight`, are trusted to be finite float64, like the
     data of a ``ScoreMatrix``; only the fused matrix is validated, once. A
-    model whose values span more than the float64 maximum, or a fused
-    matrix that overflows (possible only without ``normalize``), raises
-    ``ValidationError``. Each step folds into the accumulator in place, with
-    the step's own copy of its model as scratch, so neither the caller's
-    models nor ``init_matrix`` is written to. The final report covers
-    R@{1, 5, 10} within the gallery plus the tuning metric's k.
+    model whose values span more than the float64 maximum raises
+    ``ValidationError`` with a message starting ``model i: `` (``init
+    matrix: `` for ``init_matrix``). A fused matrix that overflows (possible
+    only without ``normalize``) raises ``ValidationError`` as well. Each
+    step folds into the accumulator in place, with the step's own copy of
+    its model as scratch, so neither the caller's models nor
+    ``init_matrix`` is written to. The final report covers R@{1, 5, 10}
+    within the gallery plus the tuning metric's k.
 
     Returns
     -------

@@ -12,7 +12,8 @@ caller owns and reuses from block to block. :func:`query_ranks` runs the
 first on a whole matrix and the second on blocks of ``_BLOCK_CELLS`` cells,
 so it builds no temporary as large as the matrix. The weight sweep in
 :mod:`rankfuse.ensemble` runs the first once for its whole grid and the
-second on one row block and one weight at a time; at k = 1 it needs no rank
+second, one weight at a time, on the rows its float32 filter cannot decide
+and on the blocks outside that filter's range; at k = 1 it needs no rank
 at all, since a query is a hit exactly when its row's ``argmax`` (the lowest
 index of the row maximum) is its lowest best relevant item.
 """

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -231,6 +232,26 @@ class TestEnsembleCommand:
         assert_rejects_naming(base + ["--model", good], bad, capsys)
 
 
+    def test_span_overflow_names_the_file(self, tmp_path, capsys):
+        # Values of +-1e308 span more than the float64 maximum, so min-max
+        # cannot rescale them; the error names the model or warm start.
+        manifest = write_models(tmp_path, [None] * 3, n=2, m=2)
+        wide = np.array([[-1e308, 1e308], [1e308, -1e308]])
+        out = tmp_path / "f.npy"
+        argv = ["ensemble", "--manifest", str(manifest), "--out", str(out)]
+        for position in (1, 2):
+            write_matrix(wide, tmp_path / f"m{position}.npy")
+            assert_rejects_naming(argv, tmp_path / f"m{position}.npy", capsys)
+            assert not out.exists()
+            write_matrix(np.eye(2), tmp_path / f"m{position}.npy")
+        write_matrix(wide, tmp_path / "init.npy")
+        rc = run_cli(argv + ["--init-matrix", str(tmp_path / "init.npy")])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert f"{tmp_path / 'init.npy'}: cannot min-max rescale: the span" in err
+        assert "Traceback" not in err and "warning" not in err
+
+
 def count_finite_scans(monkeypatch) -> Counter:
     """Count ``_as_matrix`` calls, the finite scans, by the name each gives its matrix."""
     calls = Counter()
@@ -397,6 +418,29 @@ class TestSelectCommand:
         assert rc == 0
         capsys.readouterr()
         assert (tmp_path / "sel.csv").read_text() == "1,2\n"
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # Ties between 0.9s and between 0.0 and -0.0 go to the lower index.
+        write_matrix(np.eye(4), tmp_path / "f.npy")
+        guidance = np.array([[0.1, 0.4, 0.4, 0.3], [0.9, 0.0, -0.0, 0.9], [0.2, 0.3, 0.1, 0.5]])
+        write_matrix(guidance, tmp_path / "g.npy")
+        argv = ["select", "--features", str(tmp_path / "f.npy"), "--guidance", str(tmp_path / "g.npy"),
+                "--k", "3", "--out", str(tmp_path / "sel.csv")]
+        assert run_cli(argv) == 0
+        assert (tmp_path / "sel.csv").read_bytes() == b"1,2,3\n0,3,1\n3,1,0\n"
+        # 120 tie-heavy rows at k = 10: the bytes the per-index writer made.
+        rng = np.random.default_rng(41)
+        write_matrix(np.eye(120), tmp_path / "f.npy")
+        write_matrix(rng.integers(0, 6, (120, 120)).astype(float), tmp_path / "g.npy")
+        argv[argv.index("--k") + 1] = "10"
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        data = (tmp_path / "sel.csv").read_bytes()
+        assert len(data) == 3399
+        assert data.startswith(b"1,9,12,14,20,23,31,33,34,42\n7,14,16,17,21,28,43,46,53,74\n")
+        assert hashlib.sha256(data).hexdigest() == (
+            "1f46bc0f4b566f06978ed3f4365c18ded9be66d27aca90657459e9691d599916"
+        )
 
     def test_tie_heavy_guidance_matches_oracle(self, tmp_path, capsys):
         # Three integer levels, all-equal rows and rows of 0.0 mixed with

@@ -4,6 +4,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+import rankfuse.ensemble as ens
 from rankfuse.ensemble import (
     DEFAULT_WEIGHT_GRID,
     RecallAtK,
@@ -146,6 +147,23 @@ def stable_sort_recall(fused: np.ndarray, gt: GroundTruth, k: int) -> float:
     return sum(r < k for r in stable_sort_ranks(fused, gt)) / fused.shape[0]
 
 
+def check_sweep(s, t, gt, k, grids):
+    """The sweep's values and choice against a per-point sweep and a stable-sort rank."""
+    for grid in grids:
+        values = _sweep_values(s, t, gt, grid, k)
+        per_point = [
+            int(np.count_nonzero(query_ranks(w * s + (1.0 - w) * t, gt) < k)) / s.shape[0]
+            for w in grid
+        ]
+        assert values == per_point
+        assert values == [stable_sort_recall(w * s + (1.0 - w) * t, gt, k) for w in grid]
+        best_i = max(range(len(grid)), key=lambda i: (per_point[i], -i))
+        # Plain arrays and ScoreMatrix inputs choose alike.
+        for pair in ((s, t), (ScoreMatrix(s), ScoreMatrix(t))):
+            chosen = sweep_weight(*pair, gt, WeightGrid(grid), RecallAtK(k))
+            assert chosen == (grid[best_i], per_point[best_i])
+
+
 def tie_heavy(rng, shape, levels):
     """Scores on ``levels`` values in [0, 1], with a share of the zeros stored as -0.0."""
     data = rng.integers(0, levels, shape) / (levels - 1)
@@ -167,19 +185,7 @@ class TestBlockedSweep:
     GRIDS = [DEFAULT_WEIGHT_GRID, (0.0, 0.3, 1.0), (1.0,), (0.0,)]
 
     def check(self, s, t, gt, k):
-        for grid in self.GRIDS:
-            values = _sweep_values(s, t, gt, grid, k)
-            per_point = [
-                int(np.count_nonzero(query_ranks(w * s + (1.0 - w) * t, gt) < k)) / s.shape[0]
-                for w in grid
-            ]
-            assert values == per_point
-            assert values == [stable_sort_recall(w * s + (1.0 - w) * t, gt, k) for w in grid]
-            best_i = max(range(len(grid)), key=lambda i: (per_point[i], -i))
-            # Plain arrays and ScoreMatrix inputs choose alike.
-            for pair in ((s, t), (ScoreMatrix(s), ScoreMatrix(t))):
-                chosen = sweep_weight(*pair, gt, WeightGrid(grid), RecallAtK(k))
-                assert chosen == (grid[best_i], per_point[best_i])
+        check_sweep(s, t, gt, k, self.GRIDS)
 
     def test_tie_heavy_matches_per_point_sweep(self):
         rng = np.random.default_rng(11)
@@ -316,6 +322,166 @@ class TestBlockedSweep:
                 assert query_ranks(data, gt).tolist() == stable_sort_ranks(data, gt)
 
 
+def record_reranks(monkeypatch) -> list:
+    """Per call of the float64 rank kernel in the k > 1 sweep, its rows' ``first`` items.
+
+    ``first`` is each row's lowest best relevant item: its query under
+    identity truth, and its one relevant item under single-item truth.
+    """
+    queries = []
+    count_ranks = ens._count_ranks
+
+    def recorded(block, best, first, *args):
+        queries.append(first.copy())
+        return count_ranks(block, best, first, *args)
+
+    monkeypatch.setattr(ens, "_count_ranks", recorded)
+    return queries
+
+
+class TestFloat32Filter:
+    """The k > 1 sweep's float32 pass, its guard band and its float64 re-rank.
+
+    Every case is checked against the per-point ``query_ranks`` sweep and a
+    stable-sort rank. The re-rank is watched through ``_count_ranks``, which
+    the sweep calls only for rows (or whole blocks) it does not rank in
+    float32.
+    """
+
+    GRIDS = [(0.0, 0.25, 0.5, 0.9, 0.95, 1.0), (0.0, 1.0)]
+
+    def ks(self, m):
+        return (2, 5, m)
+
+    def test_magnitudes_past_float32_take_float64_without_warning(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        n, m = 40, 300
+        gt = GroundTruth(
+            relevant=tuple(rng.choice(m, size=int(rng.integers(1, 4)), replace=False) for _ in range(n)),
+            gallery_size=m,
+        )
+        for scale in (1e-200, 1e200, 1e307):
+            # Negative and positive values, each half the scale at most, so
+            # no blend overflows float64.
+            s, t = (rng.random((n, m)) - 0.5) * scale, (rng.random((n, m)) - 0.5) * scale
+            t[:, ::7] = -t[:, ::7]
+            for k in self.ks(m):
+                check_sweep(s, t, gt, k, self.GRIDS)
+            # Every row of every block is ranked in float64 (warnings are errors).
+            queries = record_reranks(monkeypatch)
+            _sweep_values(s, t, gt, self.GRIDS[0], 5)
+            assert len(np.concatenate(queries)) == n * len(self.GRIDS[0])
+            monkeypatch.undo()
+
+    def test_weights_below_float32_range_take_float64(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        n, m = 30, 200
+        s, t = rng.random((n, m)), rng.random((n, m))
+        gt = GroundTruth(relevant=tuple({int(i)} for i in rng.integers(0, m, n)), gallery_size=m)
+        grid = (0.0, 1e-300, 2.0**-101, 0.5, 1.0)
+        for k in self.ks(m):
+            check_sweep(s, t, gt, k, [grid])
+        queries = record_reranks(monkeypatch)
+        _sweep_values(s, t, gt, grid, 5)
+        # The two tiny weights only.
+        assert len(np.concatenate(queries)) == 2 * n
+
+    def test_nextafter_near_ties_in_every_row_are_reranked(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        n, m = 150, 1000
+        s, t = rng.random((n, m)), rng.random((n, m))
+        rows = np.arange(n)
+        r = rng.integers(0, m, n)
+        twin = (r + rng.integers(1, m, n)) % m
+        # The twin is one float64 step above or below the relevant item in
+        # s and equal in t: a tie or a one-step gap at every w.
+        up = rng.random(n) < 0.5
+        s[rows, twin] = np.nextafter(s[rows, r], np.where(up, np.inf, -np.inf))
+        t[rows, twin] = t[rows, r]
+        gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
+        for k in self.ks(m):
+            check_sweep(s, t, gt, k, self.GRIDS)
+        queries = record_reranks(monkeypatch)
+        _sweep_values(s, t, gt, self.GRIDS[0], 2)
+        assert np.array_equal(np.sort(np.concatenate(queries)), np.sort(np.tile(r, len(self.GRIDS[0]))))
+
+    def test_only_rows_inside_the_band_are_reranked(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        n, m = 150, 1000
+        # Each relevant item scores 0.5 in s and t; every other item scores
+        # at least 0.1 above or below it in both, so its blend stays clear of
+        # the band at every w. The rows in ``near`` get one nextafter twin.
+        side = rng.random((n, m)) < 0.5
+        s = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        t = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        rows = np.arange(n)
+        s[rows, rows] = t[rows, rows] = 0.5
+        near = np.sort(rng.choice(n, size=23, replace=False))
+        twin = (near + 1) % m
+        s[near, twin] = np.nextafter(0.5, 1.0)
+        t[near, twin] = 0.5
+        gt = GroundTruth(relevant=tuple({i} for i in range(n)), gallery_size=m)
+        for k in self.ks(m):
+            check_sweep(s, t, gt, k, self.GRIDS)
+        for grid in self.GRIDS:
+            queries = record_reranks(monkeypatch)
+            _sweep_values(s, t, gt, grid, 5)
+            # Per w, exactly the rows in ``near``: the twin is in the band at
+            # w > 0 and ties at w = 0.
+            assert np.array_equal(np.sort(np.concatenate(queries)), np.repeat(near, len(grid)))
+            monkeypatch.undo()
+
+    def test_gallery_past_uint16_counts(self):
+        rng = np.random.default_rng(37)
+        n, m = 3, 2**16 + 5
+        s, t = rng.random((n, m)), rng.random((n, m))
+        # Ranks above 2**16 - 1: each relevant item scores near the bottom.
+        r = np.array([m - 1, 7, 2**16])
+        s[np.arange(n), r] = t[np.arange(n), r] = 1e-6
+        gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
+        for k in (2, m - 1, m):
+            check_sweep(s, t, gt, k, [self.GRIDS[0]])
+
+    def test_zero_accumulator(self):
+        rng = np.random.default_rng(35)
+        n, m = 70, 500
+        gt = GroundTruth(relevant=tuple({int(i)} for i in rng.integers(0, m, n)), gallery_size=m)
+        # The first fusion step: at w = 1 every blend is all zero, all tied.
+        for t in (rng.random((n, m)), tie_heavy(rng, (n, m), 5)):
+            for k in self.ks(m):
+                check_sweep(np.zeros((n, m)), t, gt, k, self.GRIDS)
+
+    def test_multi_relevant_rows_mixed_with_single_ones(self):
+        rng = np.random.default_rng(36)
+        n, m = 150, 1000
+        s, t = rng.random((n, m)), rng.random((n, m))
+        relevant = [
+            set(map(int, rng.choice(m, size=int(rng.integers(1, 5)), replace=False)))
+            for _ in range(n)
+        ]
+        gt = GroundTruth(relevant=tuple(relevant), gallery_size=m)
+        # The lead relevant item is the first of each query's pairs. In every
+        # row with more than one, another relevant item is the best at every
+        # w, so the float32 pass needs its offset; half of those rows also
+        # get a nextafter twin of that best item.
+        lead = gt._items[gt._starts]
+        offset_rows = 0
+        for q, rel in enumerate(relevant):
+            others = sorted(rel - {int(lead[q])})
+            if not others:
+                continue
+            top = others[int(rng.integers(0, len(others)))]
+            s[q, top], t[q, top] = 1.5, 1.25
+            offset_rows += 1
+            if rng.random() < 0.5:
+                twin = int(rng.choice(sorted(set(range(m)) - rel)))
+                s[q, twin] = np.nextafter(1.5, rng.choice([np.inf, -np.inf]))
+                t[q, twin] = 1.25
+        assert offset_rows > n // 2
+        for k in self.ks(m):
+            check_sweep(s, t, gt, k, self.GRIDS)
+
+
 class TestIterativeEnsemble:
     def test_single_model_identity(self):
         rng = np.random.default_rng(3)
@@ -414,6 +580,14 @@ class TestIterativeEnsemble:
         wide = ScoreMatrix([[-1e308, 1e308], [1e308, -1e308]])
         with pytest.raises(ValidationError):
             iterative_ensemble([wide], GroundTruth.identity(2), WeightGrid((0.5,)))
+
+    def test_overflow_names_the_model_or_warm_start(self):
+        wide = np.array([[-1e308, 1e308], [1e308, -1e308]])
+        gt, grid = GroundTruth.identity(2), WeightGrid((0.5,))
+        with pytest.raises(ValidationError, match="^model 1: cannot min-max rescale: the span"):
+            iterative_ensemble([np.eye(2), wide], gt, grid)
+        with pytest.raises(ValidationError, match="^init matrix: cannot min-max rescale"):
+            iterative_ensemble([np.eye(2)], gt, grid, init_matrix=wide)
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ParameterError):

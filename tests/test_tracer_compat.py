@@ -66,20 +66,27 @@ def score_matrix_builds_in_fusion(tracer) -> int:
     return sum(s["name"] == "matrix_ops.ScoreMatrix" and in_fusion(s) for s in spans)
 
 
-def test_in_process_fusion_is_byte_identical_when_traced():
-    rng = np.random.default_rng(21)
-    n, m = 12, 15
+def instance(rng, n, m):
+    """Three models and a truth of two relevant items per query."""
     models = [ScoreMatrix(rng.random((n, m))) for _ in range(3)]
     gt = GroundTruth(
         relevant=tuple(rng.choice(m, size=2, replace=False) for _ in range(n)), gallery_size=m
     )
+    return models, gt
+
+
+def test_in_process_fusion_is_byte_identical_when_traced():
+    rng = np.random.default_rng(21)
+    small = instance(rng, 12, 15)
     grid = ens.WeightGrid((0.0, 0.5, 0.9, 1.0))
-    warm = ScoreMatrix(rng.random((n, m)))
+    warm = ScoreMatrix(rng.random((12, 15)))
     runs = [
-        {"metric": ens.RecallAtK(1)},
-        {"metric": ens.RecallAtK(3), "normalize": False, "init_matrix": warm},
+        (small, {"metric": ens.RecallAtK(1)}),
+        (small, {"metric": ens.RecallAtK(3), "normalize": False, "init_matrix": warm}),
+        # The float32 filter of the k > 1 sweep over several row blocks.
+        (instance(rng, 150, 1000), {"metric": ens.RecallAtK(5)}),
     ]
-    for kwargs in runs:
+    for (models, gt), kwargs in runs:
 
         def fuse():
             # Through the module global, which the tracer wraps.
