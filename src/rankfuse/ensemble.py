@@ -24,13 +24,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import ScoreMatrix, _data, minmax_normalize, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
+from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, minmax_normalize
+from .matrix_ops import topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
-    _BLOCK_CELLS,
     GroundTruth,
     RetrievalMetrics,
     _best_relevant,
-    _block_rows,
     _check_covers,
     _count_ranks,
     _is_integer,
@@ -215,7 +214,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
         return [int(h) / n for h in hits]
 
     # A float32 block of twice the cells has the bytes of a float64 one.
-    rows = min(n, max(1, 2 * _BLOCK_CELLS // m))
+    rows = _block_rows(t.shape, 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
     ds, dt, x, part32 = (np.empty((rows, m), np.float32) for _ in range(4))

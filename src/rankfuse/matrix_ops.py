@@ -27,15 +27,46 @@ __all__ = [
 ]
 
 
+# Cells in one row block of the rank kernels (``metrics.query_ranks`` and the
+# weight sweep): a float64 block is 256 KB, so a block and the buffers it is
+# compared into stay in cache together.
+_BLOCK_CELLS = 32768
+# Cells in one row block of a single pass over a matrix (the top-k and the
+# finite scan). Each block is read once, so the cache matters less than the
+# per-block call overhead, which made the top-k slower at 32,768 cells; at
+# 2 MB, a block's int64 ``argpartition`` temporary stays small beside any
+# matrix large enough to be blocked.
+_PASS_CELLS = 262144
+
+
+def _block_rows(shape: tuple, cells: int = _BLOCK_CELLS) -> int:
+    """Rows in one block of ``cells`` cells of a matrix of ``shape`` (at least 1)."""
+    n, m = shape
+    return min(n, max(1, cells // m))
+
+
 def _as_matrix(data, what: str) -> np.ndarray:
+    """``data`` as a 2-D float64 array with at least one row and column, all finite.
+
+    A float64 array comes back as itself, with no copy. The finite check
+    walks row blocks through one reused bool buffer, so it builds no
+    temporary as large as the matrix; the error still names the first
+    non-finite cell by its (row, column) in the whole matrix.
+    """
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{what} must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    n, m = arr.shape
+    if n < 1 or m < 1:
         raise ShapeError(f"{what} must have at least one row and one column, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise ValidationError(f"{what} has non-finite value at ({i}, {j})")
+    rows = _block_rows(arr.shape, _PASS_CELLS)
+    finite = np.empty((rows, m), bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        ok = np.isfinite(arr[lo:hi], out=finite[: hi - lo])
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise ValidationError(f"{what} has non-finite value at ({lo + i}, {j})")
     return arr
 
 
@@ -251,28 +282,42 @@ def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     its lowest-index ties; then only the k kept columns are ordered. The cost
     is O(m) per row plus O(k log k) for the order, against O(m log m) for a
     full sort of an m-column row.
+
+    The rows are walked in blocks of :data:`_PASS_CELLS` cells, each written
+    into the preallocated (n, k) result, so no temporary as large as ``s``
+    is built: the largest is one block's index array.
     """
     data = _data(s)
-    n_cols = data.shape[1]
+    n, n_cols = data.shape
     if not 1 <= k <= n_cols:
         raise ParameterError(f"k must be in [1, {n_cols}], got {k}")
     if k == 1:
         # argmax returns the first (lowest-index) maximum.
         idx = np.argmax(data, axis=1).reshape(-1, 1)
     else:
-        idx = np.argpartition(data, n_cols - k, axis=1)[:, n_cols - k:]
-        # argpartition leaves the k-th largest value in its sorted slot, the
-        # first kept column; which of its ties it kept is arbitrary.
-        kth = np.take_along_axis(data, idx[:, :1], axis=1)
-        tied = np.flatnonzero(np.count_nonzero(data >= kth, axis=1) > k)
-        if tied.size:
-            rows, v = data[tied], kth[tied]
-            above = rows > v
-            equal = rows == v
-            room = k - np.count_nonzero(above, axis=1, keepdims=True)
-            keep = above | (equal & (np.cumsum(equal, axis=1) <= room))
-            idx[tied] = np.nonzero(keep)[1].reshape(-1, k)
-        vals = np.take_along_axis(data, idx, axis=1)
-        idx = np.take_along_axis(idx, np.lexsort((idx, -vals), axis=1), axis=1)
+        idx = np.empty((n, k), np.intp)
+        rows = _block_rows(data.shape, _PASS_CELLS)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            idx[lo:hi] = _topk_block(data[lo:hi], k)
     vals = np.take_along_axis(data, idx, axis=1)
     return TopKResult(indices=idx, values=vals)
+
+
+def _topk_block(data: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest entries, ordered as :func:`topk_rows` orders them."""
+    n_cols = data.shape[1]
+    idx = np.argpartition(data, n_cols - k, axis=1)[:, n_cols - k:]
+    # argpartition leaves the k-th largest value in its sorted slot, the
+    # first kept column; which of its ties it kept is arbitrary.
+    kth = np.take_along_axis(data, idx[:, :1], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(data >= kth, axis=1) > k)
+    if tied.size:
+        rows, v = data[tied], kth[tied]
+        above = rows > v
+        equal = rows == v
+        room = k - np.count_nonzero(above, axis=1, keepdims=True)
+        keep = above | (equal & (np.cumsum(equal, axis=1) <= room))
+        idx[tied] = np.nonzero(keep)[1].reshape(-1, k)
+    vals = np.take_along_axis(data, idx, axis=1)
+    return np.take_along_axis(idx, np.lexsort((idx, -vals), axis=1), axis=1)

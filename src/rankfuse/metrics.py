@@ -9,8 +9,12 @@ kernel, which counts ranks without sorting any row. It has two halves:
 (query, item) pairs alone, and :func:`_count_ranks` counts that score's rank
 over one block of rows, through a threshold buffer and a bool mask that the
 caller owns and reuses from block to block. :func:`query_ranks` runs the
-first on a whole matrix and the second on blocks of ``_BLOCK_CELLS`` cells,
-so it builds no temporary as large as the matrix. The weight sweep in
+first on a whole matrix and the second on row blocks, so it builds no
+temporary as large as the matrix. The blocking rule lives in
+:mod:`rankfuse.matrix_ops`: ``_block_rows`` sizes a block from a cell
+budget, ``_BLOCK_CELLS`` for these rank kernels and a larger one for the
+single-pass top-k and finite scan there, so every blocked loop in the
+library sizes its blocks one way. The weight sweep in
 :mod:`rankfuse.ensemble` runs the first once for its whole grid and the
 second, one weight at a time, on the rows its float32 filter cannot decide
 and on the blocks outside that filter's range; at k = 1 it needs no rank
@@ -27,13 +31,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .matrix_ops import ScoreMatrix, _data, topk_rows  # noqa: F401  perfbench/tracer.py wraps this global
+from .matrix_ops import ScoreMatrix, _block_rows, _data, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows
 
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
-
-# Cells in one row block of the rank kernel: a float64 block is 256 KB, so a
-# block, its threshold buffer and its mask stay in cache together.
-_BLOCK_CELLS = 32768
 
 
 def _is_integer(x) -> bool:
@@ -186,12 +186,6 @@ def _count_ranks(
     return ranks
 
 
-def _block_rows(shape: tuple) -> int:
-    """Rows in one block of :data:`_BLOCK_CELLS` cells of a matrix of ``shape`` (at least 1)."""
-    n, m = shape
-    return min(n, max(1, _BLOCK_CELLS // m))
-
-
 def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     """0-based rank of each query's best-placed relevant item.
 
@@ -201,7 +195,7 @@ def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     index, so only that item is counted, and no row is sorted. The work is
     split in two halves that the weight sweep also calls: :func:`_best_relevant`
     reads the relevant scores, and :func:`_count_ranks` counts blocks of
-    :data:`_BLOCK_CELLS` cells through one pair of reused buffers, so no
+    ``matrix_ops._BLOCK_CELLS`` cells through one pair of reused buffers, so no
     temporary as large as ``data`` is built. Query q is a hit at k when its
     rank is below k.
     """

@@ -11,6 +11,7 @@ non-candidates keep their guidance ordering in a compressed band below.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,13 +39,15 @@ _CANDIDATE_BAND_OFFSET = 2.0
 class SelectedFeatures:
     """Top-k candidates per query: gallery indices, guidance scores, feature rows.
 
-    The full guidance matrix is retained, as it was given, so reranking can
-    place the unselected gallery items deterministically.
+    The feature bank and the full guidance matrix are retained, as they were
+    given: the bank so candidate feature rows are read only when asked for,
+    and the guidance so reranking can place the unselected gallery items
+    deterministically.
     """
 
     indices: np.ndarray  # (n_queries, k) int64
     guidance_scores: np.ndarray  # (n_queries, k), non-increasing per row
-    features: np.ndarray  # (n_queries, k, dim)
+    bank: np.ndarray  # (n_gallery, dim)
     guidance: np.ndarray | ScoreMatrix
 
     @property
@@ -55,11 +58,20 @@ class SelectedFeatures:
     def k(self) -> int:
         return self.indices.shape[1]
 
+    @cached_property
+    def features(self) -> np.ndarray:
+        """(n_queries, k, dim) candidate feature rows, gathered on first access."""
+        return self.bank[self.indices]
+
     def candidates(self, query: int) -> list[tuple[int, np.ndarray, float]]:
-        """(gallery_index, feature_row, guidance_score) triples for one query."""
+        """(gallery_index, feature_row, guidance_score) triples for one query.
+
+        Only that query's k rows of the bank are read.
+        """
+        indices = self.indices[query]
         return [
-            (int(self.indices[query, j]), self.features[query, j], float(self.guidance_scores[query, j]))
-            for j in range(self.k)
+            (int(i), row, float(score))
+            for i, row, score in zip(indices, self.bank[indices], self.guidance_scores[query])
         ]
 
 
@@ -70,6 +82,8 @@ def select_topk_features(
 
     Ties go to the lower gallery index. ``guidance`` columns must align with
     ``features`` rows. Either may be a wrapper or a finite float64 array.
+    No (n_queries, k, dim) gather is built here; ``SelectedFeatures.features``
+    builds it on first access.
     """
     bank, n_gallery = _data(features), _data(guidance).shape[1]
     if n_gallery != bank.shape[0]:
@@ -78,10 +92,7 @@ def select_topk_features(
         )
     top = topk_rows(guidance, k)
     return SelectedFeatures(
-        indices=top.indices,
-        guidance_scores=top.values,
-        features=bank[top.indices],
-        guidance=guidance,
+        indices=top.indices, guidance_scores=top.values, bank=bank, guidance=guidance
     )
 
 

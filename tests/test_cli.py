@@ -468,6 +468,24 @@ class TestSelectCommand:
                 ]
                 np.testing.assert_array_equal(rows, brute_force_topk(guidance, k))
 
+    def test_peak_memory_near_the_guidance(self, tmp_path, capsys):
+        n, m = 600, 3000
+        rng = np.random.default_rng(13)
+        write_matrix(rng.standard_normal((m, 4)), tmp_path / "f.npy")
+        write_matrix(rng.random((n, m)), tmp_path / "g.npy")
+        argv = ["select", "--features", str(tmp_path / "f.npy"), "--guidance", str(tmp_path / "g.npy"),
+                "--k", "10", "--out", str(tmp_path / "sel.csv")]
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        # The loaded guidance and one row block of top-k temporaries; a
+        # whole-matrix argpartition alone would add another n x m int64.
+        assert peak < 1.25 * n * m * 8
+
     def test_shape_mismatch_names_guidance(self, tmp_path, capsys):
         write_matrix(np.eye(2), tmp_path / "f.npy")
         write_matrix(np.array([[0.2, 0.9, 0.5]]), tmp_path / "g.npy")

@@ -16,8 +16,8 @@ from rankfuse.ensemble import (
     sweep_weight,
 )
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
-from rankfuse.matrix_ops import ScoreMatrix
-from rankfuse.metrics import _BLOCK_CELLS, GroundTruth, query_ranks, recall_at_k
+from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix
+from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
 
 
 def complementary_pair():

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+import rankfuse.matrix_ops
 from rankfuse.errors import (
     DegenerateInputError,
     ParameterError,
     ShapeError,
     ValidationError,
 )
+from rankfuse.io_files import load_matrix, write_matrix
 from rankfuse.matrix_ops import (
+    _PASS_CELLS,
     EmbeddingMatrix,
     ScoreMatrix,
+    _block_rows,
     cosine_similarity,
     l2_normalize_rows,
     row_softmax,
@@ -185,6 +189,89 @@ class TestTopkRows:
             topk_rows(s, 1).indices.ravel(),
             np.argsort(-data, axis=1, kind="stable")[:, 0],
         )
+
+
+def assert_topk_matches_oracle(data: np.ndarray, ks) -> None:
+    """Indices equal ``brute_force_topk`` and values are its cells, bit for bit."""
+    oracle = brute_force_topk(data, max(ks))
+    for k in ks:
+        res = topk_rows(data, k)
+        np.testing.assert_array_equal(res.indices, oracle[:, :k])
+        assert res.values.tobytes() == np.take_along_axis(data, oracle[:, :k], 1).tobytes()
+
+
+class TestBlockedTopk:
+    """``topk_rows`` walks row blocks; no block edge may change a row's result."""
+
+    def test_several_blocks_with_a_short_last_block(self):
+        rng = np.random.default_rng(30)
+        m = 400
+        rows = _PASS_CELLS // m
+        n = 2 * rows + 5
+        assert_topk_matches_oracle(rng.random((n, m)), (1, 2, 10, 37))
+        assert_topk_matches_oracle(rng.integers(0, 4, (n, m)).astype(float), (1, 2, 10, 37))
+
+    def test_rows_wider_than_one_block(self):
+        rng = np.random.default_rng(31)
+        m = _PASS_CELLS + 3
+        assert _block_rows((3, m), _PASS_CELLS) == 1
+        data = rng.integers(0, 50, (3, m)).astype(float)
+        assert_topk_matches_oracle(data, (1, 2, 25))
+
+    def test_small_blocks(self, monkeypatch):
+        # Blocks of 2 rows at m = 50 and of one row at m = 150, so every
+        # shape below crosses several block edges and ends on a short block.
+        monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", 100)
+        rng = np.random.default_rng(32)
+        row = rng.integers(0, 3, 50).astype(float)
+        cases = [
+            rng.random((7, 50)),
+            rng.integers(0, 3, (9, 150)).astype(float),
+            # One tie-heavy row repeated: the same tie runs on both sides of
+            # every block edge.
+            np.tile(row, (9, 1)),
+            np.full((5, 50), -2.5),
+            # Signed zeros: the values must keep their sign bit.
+            rng.choice([0.0, -0.0], (7, 50)),
+            rng.choice([0.0, -0.0, 1.0, -1.0], (7, 50)),
+        ]
+        for data in cases:
+            m = data.shape[1]
+            assert_topk_matches_oracle(data, sorted({1, 2, 3, 10, 49, m}))
+
+
+class TestBlockedFiniteScan:
+    """The finite check walks row blocks but names a cell of the whole matrix."""
+
+    def test_coordinates_are_global(self, tmp_path):
+        m = 1000
+        rows = _PASS_CELLS // m
+        n = 2 * rows + 5
+        rng = np.random.default_rng(33)
+        # The first row of the second block, and the last cell of a short
+        # final block.
+        for (i, j), value in (((rows, 17), np.nan), ((n - 1, m - 1), np.inf)):
+            data = rng.random((n, m))
+            data[i, j] = value
+            with pytest.raises(ValidationError) as exc:
+                ScoreMatrix(data)
+            assert str(exc.value) == f"score matrix has non-finite value at ({i}, {j})"
+            for name, fmt in (("m.npy", "array"), ("m.csv", "csv")):
+                path = tmp_path / name
+                write_matrix(data, path, fmt)
+                with pytest.raises(ValidationError) as exc:
+                    load_matrix(path, fmt)
+                assert str(exc.value) == f"{path} has non-finite value at ({i}, {j})"
+
+    def test_first_bad_cell_in_row_order(self, monkeypatch):
+        monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", 6)
+        data = np.zeros((7, 3))
+        data[5, 0] = np.inf
+        data[2, 2] = np.nan
+        data[3, 1] = -np.inf
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingMatrix(data)
+        assert str(exc.value) == "embedding matrix has non-finite value at (2, 2)"
 
 
 class TestL2Normalize:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,40 @@ class TestRerankSelected:
         selected = select_topk_features(EmbeddingMatrix(np.eye(2)), ScoreMatrix(np.eye(2)), k=1)
         with pytest.raises(ValidationError, match="match scores"):
             rerank_selected(selected, np.array([[-1e308], [1e308]]))
+
+
+class TestLazyFeatures:
+    def test_features_and_candidates_match_the_eager_gather(self):
+        rng = np.random.default_rng(14)
+        bank = rng.standard_normal((40, 6))
+        guidance = rng.integers(0, 4, (25, 40)).astype(float)
+        selected = select_topk_features(bank, guidance, k=7)
+        # The gather select_topk_features used to build up front.
+        eager = bank[topk_rows(guidance, 7).indices]
+        for q in (0, 11, 24, -1):
+            expected = [
+                (int(selected.indices[q, j]), eager[q, j], float(selected.guidance_scores[q, j]))
+                for j in range(7)
+            ]
+            got = selected.candidates(q)
+            assert [(i, s) for i, _, s in got] == [(i, s) for i, _, s in expected]
+            for (_, row, _), (_, want, _) in zip(got, expected):
+                assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+        features = selected.features
+        assert features.dtype == eager.dtype and features.shape == eager.shape
+        assert features.tobytes() == eager.tobytes()
+        assert selected.features is features
+
+    def test_selection_builds_no_gather(self):
+        rng = np.random.default_rng(15)
+        n, m, dim, k = 200, 50, 256, 10
+        bank, guidance = rng.standard_normal((m, dim)), rng.random((n, m))
+        tracemalloc.start()
+        try:
+            selected = select_topk_features(bank, guidance, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The (n, k, dim) gather would be 4 MB; the selection itself is tiny.
+        assert peak < n * k * dim * 8 / 4
+        assert selected.features.shape == (n, k, dim)
