@@ -48,23 +48,23 @@ def _infer_format(path: str, explicit: str) -> str:
     return "csv" if str(path).lower().endswith(".csv") else "array"
 
 
-def _parse_ks(text: str) -> list[int]:
+def _parse_ks(text: str, flag: str) -> list[int]:
     try:
         ks = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ParameterError(f"bad k list {text!r}; expected comma-separated integers")
+        raise ParameterError(f"{flag}: bad k list {text!r}; expected comma-separated integers")
     if not ks:
-        raise ParameterError("k list is empty")
+        raise ParameterError(f"{flag}: k list is empty")
     return ks
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         vals = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ParameterError(f"bad float list {text!r}")
+        raise ParameterError(f"{flag}: bad float list {text!r}")
     if not vals:
-        raise ParameterError("float list is empty")
+        raise ParameterError(f"{flag}: float list is empty")
     return vals
 
 
@@ -95,7 +95,7 @@ def _cmd_eval(args) -> int:
     expected = (gt.n_queries, gt.gallery_size)
     _check_extent(args.scores, "shape", scores.shape, expected, f"manifest {args.gt}")
     n = gt.gallery_size
-    requested = _parse_ks(args.k)
+    requested = _parse_ks(args.k, "--k")
     for k in requested:
         if k > n:
             print(f"warning: k={k} exceeds gallery size {n}; clipped", file=sys.stderr)
@@ -156,12 +156,8 @@ def _cmd_ensemble(args) -> int:
     # Every file is checked before fusion starts; each array model is then
     # loaded only when its step reads it.
     models = _Loaded([_staged(e.path, e.format, expected, source) for e in entries])
-    grid = ens.WeightGrid(tuple(_parse_floats(args.grid)))
+    grid = ens.WeightGrid(tuple(_parse_floats(args.grid, "--grid")))
     metric = ens.RecallAtK(args.metric_k)
-    init = None
-    if args.init_matrix:
-        fmt = _infer_format(args.init_matrix, args.format)
-        init = _staged(args.init_matrix, fmt, expected, source)()
     # iterative_ensemble names a model it cannot rescale by its label.
     paths = {f"model {i}": e.path for i, e in enumerate(entries)}
     if args.init_matrix:
@@ -173,7 +169,10 @@ def _cmd_ensemble(args) -> int:
             grid,
             metric=metric,
             normalize=not args.no_normalize,
-            init_matrix=init,
+            # Loaded inline, so no local keeps the warm start past step 1.
+            init_matrix=_staged(
+                args.init_matrix, _infer_format(args.init_matrix, args.format), expected, source
+            )() if args.init_matrix else None,
             model_ids=[e.name for e in entries],
         )
     except ValidationError as exc:
@@ -217,7 +216,7 @@ def _cmd_lhp_sample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    skills = tuple(_parse_floats(args.skills))
+    skills = tuple(_parse_floats(args.skills, "--skills"))
     cfg = SynthConfig(
         n_items=args.n_items,
         dim=args.dim,

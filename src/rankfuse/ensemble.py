@@ -24,11 +24,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, minmax_normalize
+from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, minmax_normalize
 from .matrix_ops import topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
     RetrievalMetrics,
+    _band_ranks,
     _best_relevant,
     _check_covers,
     _count_ranks,
@@ -119,9 +120,10 @@ def _blend(w, s: np.ndarray, t: np.ndarray, out=None, part=None) -> np.ndarray:
     return np.add(out, part, out=out)
 
 
-# The float32 filter of the k > 1 sweep (see _filter_ranks). Let u = 2**-24,
-# float32's unit roundoff, and M = w*max|S_blk| + (1-w)*max|T_blk| for a block
-# and weight. Row by row, the filter value x_j of item j approximates
+# The guard band of the k > 1 sweep's float32 filter, which
+# metrics._band_ranks tests as the band [-g, g]. Let u = 2**-24, float32's
+# unit roundoff, and M = w*max|S_blk| + (1-w)*max|T_blk| for a block and
+# weight. Row by row, the filter value x_j of item j approximates
 # a_j - v, the float64 blend at j minus the query's best relevant score v:
 # - dS_j = f32(s_j - s_lead) with |s_j - s_lead| <= 2*max|S_blk| is off by
 #   u (plus 2**-53 from the float64 difference), f32(w) by u, and their
@@ -141,43 +143,6 @@ _GUARD = 16 * 2.0**-24
 _F32_MAX, _F32_MIN = 2.0**100, 2.0**-100
 
 
-def _filter_ranks(
-    ds: np.ndarray,
-    dt: np.ndarray,
-    w: float,
-    off: np.ndarray,
-    guard: float,
-    x: np.ndarray,
-    part: np.ndarray,
-    mask: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Float32 ranks of one block at weight ``w``, and the rows they cannot decide.
-
-    ``ds`` and ``dt`` are the block's scores less each row's lead relevant
-    score, in float32, and ``off`` is each row's best relevant blend less
-    its lead one, also in float32 (all zero when every row's lead is its
-    best). Each row's count of ``x > guard`` is written to ``out``, whose
-    dtype the counts are summed in. A row is decided when nothing but its
-    best relevant item lies in ``[-guard, guard]``; one whole-block count
-    proves that for every row at once, and only otherwise are the rows
-    counted one by one. Returns the indices of the undecided rows. ``x``,
-    ``part`` and ``mask`` are caller-owned buffers of the block's shape.
-    """
-    np.multiply(ds, np.float32(w), out=x)
-    np.add(x, np.multiply(dt, np.float32(1.0 - w), out=part), out=x)
-    if off.any():
-        np.subtract(x, off[:, None], out=x)
-    g = np.float32(guard)
-    np.greater(x, g, out=mask)
-    ranks = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype, out=out)
-    np.greater_equal(x, -g, out=mask)
-    if np.count_nonzero(mask) == int(ranks.sum()) + len(ranks):
-        return np.empty(0, np.intp)
-    in_band = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype) - ranks
-    return np.flatnonzero(in_band > 1)
-
-
 def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
     """Recall@k of ``_blend(w, s, t)`` for every w in ``weights``, in order.
 
@@ -189,11 +154,13 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     row's maximum: a query is a hit exactly when that is its lowest best
     relevant item, so nothing is compared or counted per block. At k > 1 a
     block is copied to float32 once, less each row's lead (first) relevant
-    score, and :func:`_filter_ranks` ranks it at every w, at half the bytes,
-    against a guard band that bounds its rounding error. The rows it cannot
-    decide, and every block or weight outside the float32 bounds, are
-    blended in float64 and ranked by :func:`rankfuse.metrics._count_ranks`,
-    so every rank is exact.
+    score, blended at every w, at half the bytes, and less each row's offset
+    from that lead to its best relevant blend. Its entries above a guard
+    band that bounds the rounding error are counted by
+    :func:`rankfuse.metrics._band_ranks`, which also finds the rows with a
+    second entry in the band. Those rows, and every block or weight outside
+    the float32 bounds, are blended in float64 and ranked by
+    :func:`rankfuse.metrics._count_ranks`, so every rank is exact.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
@@ -204,8 +171,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
         rows = _block_rows(t.shape)
         blend, part = np.empty((rows, m)), np.empty((rows, m))
         found = np.empty((len(weights), n), np.intp)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        for lo, hi in _row_blocks(n, rows):
             a, b = blend[: hi - lo], part[: hi - lo]
             for i, wi in enumerate(weights):
                 _blend(wi, s[lo:hi], t[lo:hi], out=a, part=b)
@@ -217,13 +183,12 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     rows = _block_rows(t.shape, 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
-    ds, dt, x, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
+    ds, dt, x32, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
     # numpy sums uint8 into uint16 faster than into uint32.
     ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
     lead = gt._starts
     s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo, hi in _row_blocks(n, rows):
         r = hi - lo
         s_max = max(s[lo:hi].max(), -s[lo:hi].min())
         t_max = max(t[lo:hi].max(), -t[lo:hi].min())
@@ -237,19 +202,19 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             scale = wi * s_max + (1.0 - wi) * t_max
             q = slice(lo, hi)
             if fits and scale >= _F32_MIN and not 0.0 < wi < _F32_MIN:
-                undecided = _filter_ranks(
-                    ds[:r], dt[:r], wi, off[i], _GUARD * scale, x[:r], part32[:r], mask[:r],
-                    ranks[i, lo:hi],
-                )
+                x = np.multiply(ds[:r], np.float32(wi), out=x32[:r])
+                np.add(x, np.multiply(dt[:r], np.float32(1.0 - wi), out=part32[:r]), out=x)
+                if off[i].any():
+                    np.subtract(x, off[i, :, None], out=x)
+                g = np.float32(_GUARD * scale)
+                undecided = _band_ranks(x, g, -g, mask[:r], ranks[i, lo:hi])
                 if not len(undecided):
                     continue
                 q = lo + undecided
             sq = s[q]
             c = len(sq)
             a = _blend(wi, sq, t[q], out=blend[:c], part=part[:c])
-            ranks[i, q] = _count_ranks(
-                a, best[i, q], first[i, q], part[:c], mask[:c], np.empty(c, np.uint32)
-            )
+            ranks[i, q] = _count_ranks(a, best[i, q], first[i, q])
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 
@@ -332,7 +297,8 @@ def iterative_ensemble(
         scales, so this is on by default; turn it off for raw convex fusion.
     init_matrix : ScoreMatrix or finite float64 array, optional
         Starting accumulator instead of the zero matrix, for studying
-        warm-started fusion. It is never modified.
+        warm-started fusion. It is never modified, and this call lets go of
+        it once step 1 has copied it into the accumulator.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
@@ -369,6 +335,8 @@ def iterative_ensemble(
                 s = np.zeros(shape)
             else:
                 s = _step_matrix(init_matrix, "init matrix", shape, normalize)
+                # The accumulator is a copy: let the warm start go.
+                init_matrix = None
         w, value = sweep_weight(s, t, gt, grid, metric)
         # Both are this call's own arrays, so the fold writes over them.
         _blend(w, s, t, out=s, part=t)

@@ -251,10 +251,14 @@ def write_matrix(m, path, format: str = "array") -> None:
 def _parse_relevant(doc, n_queries: int, path) -> list:
     rel = doc.get("relevant")
     if isinstance(rel, dict):
+        # The first missing key is found within len(rel) + 1 steps, so a
+        # huge n_queries builds no key list before it is rejected.
+        missing = 0
+        while str(missing) in rel:
+            missing += 1
+        if missing < n_queries:
+            raise FormatError(f"{path}: relevant map is missing query {missing}")
         keys = [str(q) for q in range(n_queries)]
-        for q, key in enumerate(keys):
-            if key not in rel:
-                raise FormatError(f"{path}: relevant map is missing query {q}")
         extra = sorted(set(rel).difference(keys))
         if extra:
             raise FormatError(f"{path}: relevant map key {extra[0]!r} names no query")

@@ -45,6 +45,12 @@ def _block_rows(shape: tuple, cells: int = _BLOCK_CELLS) -> int:
     return min(n, max(1, cells // m))
 
 
+def _row_blocks(n: int, rows: int):
+    """The ``(lo, hi)`` bounds of ``n`` rows walked ``rows`` at a time."""
+    for lo in range(0, n, rows):
+        yield lo, min(lo + rows, n)
+
+
 def _as_matrix(data, what: str) -> np.ndarray:
     """``data`` as a 2-D float64 array with at least one row and column, all finite.
 
@@ -61,8 +67,7 @@ def _as_matrix(data, what: str) -> np.ndarray:
         raise ShapeError(f"{what} must have at least one row and one column, got {arr.shape}")
     rows = _block_rows(arr.shape, _PASS_CELLS)
     finite = np.empty((rows, m), bool)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for lo, hi in _row_blocks(n, rows):
         ok = np.isfinite(arr[lo:hi], out=finite[: hi - lo])
         if not ok.all():
             i, j = np.argwhere(~ok)[0]
@@ -297,8 +302,7 @@ def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     else:
         idx = np.empty((n, k), np.intp)
         rows = _block_rows(data.shape, _PASS_CELLS)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        for lo, hi in _row_blocks(n, rows):
             idx[lo:hi] = _topk_block(data[lo:hi], k)
     vals = np.take_along_axis(data, idx, axis=1)
     return TopKResult(indices=idx, values=vals)

@@ -4,22 +4,15 @@ A search succeeds for a query when any of its relevant gallery items appears
 among the top-k ranked columns of its score row. Ranking ties are broken by
 the lower gallery index, the same order :func:`rankfuse.matrix_ops.topk_rows`
 produces. Every recall figure, including the weight sweep's, comes from one
-kernel, which counts ranks without sorting any row. It has two halves:
-:func:`_best_relevant` finds each query's best relevant score from its
-(query, item) pairs alone, and :func:`_count_ranks` counts that score's rank
-over one block of rows, through a threshold buffer and a bool mask that the
-caller owns and reuses from block to block. :func:`query_ranks` runs the
-first on a whole matrix and the second on row blocks, so it builds no
-temporary as large as the matrix. The blocking rule lives in
-:mod:`rankfuse.matrix_ops`: ``_block_rows`` sizes a block from a cell
-budget, ``_BLOCK_CELLS`` for these rank kernels and a larger one for the
-single-pass top-k and finite scan there, so every blocked loop in the
-library sizes its blocks one way. The weight sweep in
-:mod:`rankfuse.ensemble` runs the first once for its whole grid and the
-second, one weight at a time, on the rows its float32 filter cannot decide
-and on the blocks outside that filter's range; at k = 1 it needs no rank
-at all, since a query is a hit exactly when its row's ``argmax`` (the lowest
-index of the row maximum) is its lowest best relevant item.
+kernel, which counts ranks without sorting any row. :func:`_best_relevant`
+finds each query's best relevant score from its (query, item) pairs alone,
+and :func:`_count_ranks` counts that score's exact rank. The band test
+behind the count, :func:`_band_ranks`, is written once: it counts each
+row's entries above a bound and proves, with one whole-block count, which
+rows hold no second entry in a band below it. :func:`_count_ranks` walks
+the rows in blocks of ``matrix_ops._BLOCK_CELLS`` cells, bounded by
+``matrix_ops._row_blocks``, so it builds no temporary as large as the
+matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .matrix_ops import ScoreMatrix, _block_rows, _data, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows
+from .matrix_ops import ScoreMatrix, _block_rows, _data, _row_blocks, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows
 
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
 
@@ -152,37 +145,49 @@ def _best_relevant(vals: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.nd
     return best, np.minimum.reduceat(at_best, starts, axis=-1)
 
 
-def _count_ranks(
-    block: np.ndarray,
-    best: np.ndarray,
-    first: np.ndarray,
-    thr: np.ndarray,
-    mask: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """0-based rank, within each row of ``block``, of its item ``first`` scoring ``best``.
+def _band_ranks(x: np.ndarray, hi, lo, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each row's count of ``x > hi``, and the rows with a second entry in ``[lo, hi]``.
 
-    The rank is ``#{j : s_j > v} + #{j < r : s_j == v}`` for v = ``best`` and
-    r = ``first``; it is written to ``out`` (one integer per row), which is
-    returned. ``thr`` (float) and ``mask`` (bool) are caller-owned buffers
-    of ``block``'s shape, reused from block to block: ``thr`` is filled with
-    each row's v, so both passes are same-shape comparisons into ``mask``,
-    and each row's count is a ``uint8`` sum over it. The block takes a
-    ``> v`` and a ``>= v`` pass; only when they show a tie at v do the rows
-    holding one take the exact ``== v and j < r`` fix-up.
+    ``hi`` and ``lo`` (``lo <= hi``) are scalars or arrays of ``x``'s shape,
+    and every row holds one entry of its own in ``[lo, hi]``. The counts
+    are summed, in ``out``'s dtype, into ``out``; ``mask`` is a bool buffer
+    of ``x``'s shape. One whole-block count of ``x >= lo`` proves that no
+    row holds a second entry in the band, and only otherwise are the rows
+    counted one by one. Returns the indices of the rows that hold one.
     """
-    np.copyto(thr, best[:, None])
-    np.greater(block, thr, out=mask)
-    ranks = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32, out=out)
-    # Each row's item is one of its ``>= v`` entries; any other is a tie. A
-    # whole-block count rules ties out before any per-row count is taken.
-    np.greater_equal(block, thr, out=mask)
-    if np.count_nonzero(mask) > int(ranks.sum()) + len(ranks):
-        at_least = np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.uint32)
-        tied = np.flatnonzero(at_least - ranks > 1)
-        before = np.arange(block.shape[1]) < first[tied, None]
-        fix = np.count_nonzero((block[tied] == best[tied, None]) & before, axis=1)
-        ranks[tied] += fix.astype(ranks.dtype)
+    np.greater(x, hi, out=mask)
+    above = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype, out=out)
+    np.greater_equal(x, lo, out=mask)
+    if np.count_nonzero(mask) == int(above.sum()) + len(above):
+        return np.empty(0, np.intp)
+    in_band = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype) - above
+    return np.flatnonzero(in_band > 1)
+
+
+def _count_ranks(scores: np.ndarray, best: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """0-based rank, within each row of ``scores``, of its item ``first`` scoring ``best``.
+
+    The rank is ``#{j : s_j > v} + #{j < r : s_j == v}`` for v = ``best``
+    and r = ``first``. The rows are walked in blocks of ``_BLOCK_CELLS``
+    cells through one threshold buffer, filled with each row's v, and one
+    bool mask. :func:`_band_ranks` counts a block's ``> v`` entries and, in
+    a band of width 0, finds the rows with a tie at v; only those rows take
+    the exact ``== v and j < r`` fix-up.
+    """
+    n, m = scores.shape
+    rows = _block_rows(scores.shape)
+    thr, mask = np.empty((rows, m), best.dtype), np.empty((rows, m), bool)
+    # numpy sums uint8 into uint32 faster than into intp.
+    ranks = np.empty(n, np.uint32)
+    for lo, hi in _row_blocks(n, rows):
+        block, v, r, out = scores[lo:hi], best[lo:hi], first[lo:hi], ranks[lo:hi]
+        t = thr[: hi - lo]
+        np.copyto(t, v[:, None])
+        tied = _band_ranks(block, t, t, mask[: hi - lo], out)
+        if len(tied):
+            before = np.arange(m) < r[tied, None]
+            fix = np.count_nonzero((block[tied] == v[tied, None]) & before, axis=1)
+            out[tied] += fix.astype(out.dtype)
     return ranks
 
 
@@ -192,25 +197,12 @@ def query_ranks(data: np.ndarray, gt: GroundTruth) -> np.ndarray:
     The rank of item r in row s is ``#{j : s_j > s_r} + #{j < r : s_j == s_r}``,
     its position under a stable descending sort (ties to the lower index).
     The best-placed relevant item has the highest score, then the lowest
-    index, so only that item is counted, and no row is sorted. The work is
-    split in two halves that the weight sweep also calls: :func:`_best_relevant`
-    reads the relevant scores, and :func:`_count_ranks` counts blocks of
-    ``matrix_ops._BLOCK_CELLS`` cells through one pair of reused buffers, so no
-    temporary as large as ``data`` is built. Query q is a hit at k when its
-    rank is below k.
+    index, so only that item is counted, and no row is sorted:
+    :func:`_best_relevant` reads the relevant scores and :func:`_count_ranks`
+    counts their ranks. Query q is a hit at k when its rank is below k.
     """
     _check_covers(data.shape, gt)
-    best, first = _best_relevant(data[gt._queries, gt._items], gt)
-    n, m = data.shape
-    rows = _block_rows(data.shape)
-    thr, mask = np.empty((rows, m), best.dtype), np.empty((rows, m), bool)
-    ranks = np.empty(n, np.intp)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        _count_ranks(
-            data[lo:hi], best[lo:hi], first[lo:hi], thr[: hi - lo], mask[: hi - lo], ranks[lo:hi]
-        )
-    return ranks
+    return _count_ranks(data, *_best_relevant(data[gt._queries, gt._items], gt)).astype(np.intp)
 
 
 def recall_at_k(s: np.ndarray | ScoreMatrix, gt: GroundTruth, k: int) -> float:

@@ -210,6 +210,16 @@ class TestEnsembleCommand:
         ])
         assert rc == 1
         assert "metric k must be in [1, 2], got 5" in capsys.readouterr().err
+        # A list flag that does not parse names itself.
+        model, out_dir = str(tmp_path / "m.npy"), str(tmp_path / "synth")
+        for argv, flag in (
+            (["ensemble", "--manifest", str(manifest), "--model", model, "--out",
+              str(tmp_path / "f.npy"), "--grid", "a,b"], "--grid: bad float list 'a,b'"),
+            (["synth", "--out-dir", out_dir, "--skills", ","], "--skills: float list is empty"),
+            (["eval", "--scores", model, "--gt", str(manifest), "--k", "abc"], "--k: bad k list 'abc'"),
+            (["eval", "--scores", model, "--gt", str(manifest), "--k", ","], "--k: k list is empty"),
+        ):
+            assert_rejects_naming(argv, flag, capsys)
 
     def test_shape_mismatch_names_file(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -391,17 +401,21 @@ class TestStreamedEnsemble:
     def test_peak_memory_holds_one_model_at_a_time(self, tmp_path, capsys):
         n, m = 500, 2000
         manifest = write_models(tmp_path, [None] * 4, n, m)
+        write_matrix(np.random.default_rng(18).random((n, m)), tmp_path / "init.npy")
         argv = ["ensemble", "--manifest", str(manifest), "--out", str(tmp_path / "f.npy")]
-        tracemalloc.start()
-        try:
-            assert run_cli(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
-        # The accumulator, the model being read and its rescaled copy; the
-        # four models together would be 4 matrices on their own.
-        assert peak < 3.5 * n * m * 8
+        # From zeros, then from a warm start, which is let go once step 1
+        # has copied it into the accumulator.
+        for extra in ([], ["--init-matrix", str(tmp_path / "init.npy")]):
+            tracemalloc.start()
+            try:
+                assert run_cli(argv + extra) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            # The accumulator, the model being read and its rescaled copy; the
+            # four models together would be 4 matrices on their own.
+            assert peak < 3.5 * n * m * 8
 
 
 class TestSelectCommand:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,15 @@ class TestArrayFormat:
         assert run_cli(["eval", "--scores", str(p), "--gt", str(gt)]) == 1
         err = capsys.readouterr().err
         assert "2-D" in err
+        assert "Traceback" not in err
+        # A header that parses to a list, not a dict.
+        header = b"[1, 1]" + b" " * 47 + b"\n"
+        p.write_bytes(MAGIC + bytes((1, 0)) + len(header).to_bytes(2, "little") + header)
+        with pytest.raises(FormatError, match="header at offset 10 is not a dict"):
+            load_matrix(p)
+        assert run_cli(["eval", "--scores", str(p), "--gt", str(gt)]) == 1
+        err = capsys.readouterr().err
+        assert f"{p}: header at offset 10 is not a dict" in err
         assert "Traceback" not in err
 
     def test_payload_length_mismatch(self, tmp_path):
@@ -338,11 +348,26 @@ class TestManifests:
             ({**base, "models": [{"path": "m.npy", "format": "bogus"}]}, r"models\[0\]"),
             ({**base, "models": [{"path": "m.npy", "name": None}]}, r"models\[0\]"),
             ({**base, "models": [{"path": "m.npy", "name": 5}]}, r"models\[0\]"),
+            # A top level that is not an object, a relevant list one short,
+            # and a relevant map over 10**12 queries, rejected without a
+            # key list of that length.
+            ([base], "manifest must be a JSON object"),
+            ({"n_queries": 2, "n_gallery": 1, "relevant": [[0]]},
+             "relevant list has 1 entries for 2 queries"),
+            ({"n_queries": 10**12, "n_gallery": 1, "relevant": {"5": [0]}},
+             "relevant map is missing query 0"),
         ):
             p.write_text(json.dumps(doc))
             with pytest.raises(FormatError, match=key):
                 load_ground_truth(p)
             assert_cli_rejects(p, tmp_path, capsys)
+            start = time.perf_counter()
+            rc = run_cli(["eval", "--scores", str(tmp_path / "m.npy"), "--gt", str(p)])
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert str(p) in err
+            assert "Traceback" not in err
 
     def test_model_paths_checked_at_load(self, tmp_path):
         p = tmp_path / "manifest.json"
