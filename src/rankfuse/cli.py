@@ -48,23 +48,15 @@ def _infer_format(path: str, explicit: str) -> str:
     return "csv" if str(path).lower().endswith(".csv") else "array"
 
 
-def _parse_ks(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """The comma-separated ``kind`` values (``int`` or ``float``) in ``flag``'s ``text``."""
+    name, hint = ("k", "; expected comma-separated integers") if kind is int else ("float", "")
     try:
-        ks = [int(x) for x in text.split(",") if x.strip()]
+        vals = [kind(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise ParameterError(f"{flag}: bad k list {text!r}; expected comma-separated integers")
-    if not ks:
-        raise ParameterError(f"{flag}: k list is empty")
-    return ks
-
-
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        vals = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise ParameterError(f"{flag}: bad float list {text!r}")
+        raise ParameterError(f"{flag}: bad {name} list {text!r}{hint}")
     if not vals:
-        raise ParameterError(f"{flag}: float list is empty")
+        raise ParameterError(f"{flag}: {name} list is empty")
     return vals
 
 
@@ -90,12 +82,11 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scores = load_matrix(args.scores, _infer_format(args.scores, args.format))
     gt = load_ground_truth(args.gt)
     expected = (gt.n_queries, gt.gallery_size)
-    _check_extent(args.scores, "shape", scores.shape, expected, f"manifest {args.gt}")
+    scores = _staged(args.scores, _infer_format(args.scores, args.format), expected, f"manifest {args.gt}")()
     n = gt.gallery_size
-    requested = _parse_ks(args.k, "--k")
+    requested = _parse_list(args.k, "--k", int)
     for k in requested:
         if k > n:
             print(f"warning: k={k} exceeds gallery size {n}; clipped", file=sys.stderr)
@@ -156,7 +147,7 @@ def _cmd_ensemble(args) -> int:
     # Every file is checked before fusion starts; each array model is then
     # loaded only when its step reads it.
     models = _Loaded([_staged(e.path, e.format, expected, source) for e in entries])
-    grid = ens.WeightGrid(tuple(_parse_floats(args.grid, "--grid")))
+    grid = ens.WeightGrid(tuple(_parse_list(args.grid, "--grid", float)))
     metric = ens.RecallAtK(args.metric_k)
     # iterative_ensemble names a model it cannot rescale by its label.
     paths = {f"model {i}": e.path for i, e in enumerate(entries)}
@@ -216,7 +207,7 @@ def _cmd_lhp_sample(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    skills = tuple(_parse_floats(args.skills, "--skills"))
+    skills = tuple(_parse_list(args.skills, "--skills", float))
     cfg = SynthConfig(
         n_items=args.n_items,
         dim=args.dim,
@@ -337,16 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", default="auto", choices=["auto", "array", "csv"],
-                       help="input matrix format (default: by file extension)")
+    def add_format(p, flag="--format", help="input matrix format (default: by file extension)"):
+        p.add_argument(flag, default="auto", choices=["auto", "array", "csv"], help=help)
 
     p = sub.add_parser("sim", help="cosine similarity between two embedding files")
     p.add_argument("--queries", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--out", required=True)
     add_format(p)
-    p.add_argument("--out-format", default="auto", choices=["auto", "array", "csv"])
+    add_format(p, "--out-format", help=None)
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("eval", help="Recall@K of a score matrix against ground truth")
@@ -369,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-matrix", default=None,
                    help="start from this matrix instead of zeros")
     add_format(p)
-    p.add_argument("--out-format", default="auto", choices=["auto", "array", "csv"])
+    add_format(p, "--out-format", help=None)
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("select", help="guidance-driven top-k candidate indices")

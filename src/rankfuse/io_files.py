@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .matrix_ops import _as_matrix
-from .metrics import GroundTruth, _is_integer
+from .metrics import GroundTruth, _is_integer, _relevant_rows
 
 __all__ = [
     "ModelEntry",
@@ -212,18 +212,28 @@ def _write_csv(arr: np.ndarray, path) -> None:
             fh.write("\n")
 
 
+# Each matrix format's reader and writer, by name.
+_FORMATS = {"array": (_load_array, _write_array), "csv": (_load_csv, _write_csv)}
+# The names as error messages list them: 'array' or 'csv'.
+_FORMAT_NAMES = " or ".join(map(repr, _FORMATS))
+
+
+def _format(format: str) -> tuple:
+    """The (reader, writer) pair of the matrix format named ``format``."""
+    try:
+        return _FORMATS[format.lower()]
+    except KeyError:
+        raise FormatError(f"unknown matrix format {format!r} (use {_FORMAT_NAMES})") from None
+
+
 def load_matrix(path, format: str = "array") -> np.ndarray:
     """Load a 2-D float64 matrix; entries are validated finite.
 
-    float32 array files are widened to float64. Callers wrap the result in
-    EmbeddingMatrix or ScoreMatrix depending on how it will be used.
+    float32 array files are widened to float64. The result is an owned,
+    finite float64 array that ``metrics_report``, ``select_topk_features``
+    and ``iterative_ensemble`` take as it is, with no second scan.
     """
-    fmt = format.lower()
-    if fmt == "array":
-        return _load_array(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise FormatError(f"unknown matrix format {format!r} (use 'array' or 'csv')")
+    return _format(format)[0](path)
 
 
 def write_matrix(m, path, format: str = "array") -> None:
@@ -234,13 +244,7 @@ def write_matrix(m, path, format: str = "array") -> None:
     arr = np.asarray(getattr(m, "data", m), dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{path}: can only write 2-D matrices, got shape {arr.shape}")
-    fmt = format.lower()
-    if fmt == "array":
-        _write_array(arr, path)
-    elif fmt == "csv":
-        _write_csv(arr, path)
-    else:
-        raise FormatError(f"unknown matrix format {format!r} (use 'array' or 'csv')")
+    _format(format)[1](arr, path)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +255,10 @@ def write_matrix(m, path, format: str = "array") -> None:
 def _parse_relevant(doc, n_queries: int, path) -> list:
     rel = doc.get("relevant")
     if isinstance(rel, dict):
-        # The first missing key is found within len(rel) + 1 steps, so a
-        # huge n_queries builds no key list before it is rejected.
-        missing = 0
-        while str(missing) in rel:
-            missing += 1
-        if missing < n_queries:
-            raise FormatError(f"{path}: relevant map is missing query {missing}")
-        keys = [str(q) for q in range(n_queries)]
-        extra = sorted(set(rel).difference(keys))
-        if extra:
-            raise FormatError(f"{path}: relevant map key {extra[0]!r} names no query")
-        return [rel[key] for key in keys]
+        try:
+            return _relevant_rows(rel, n_queries, str)
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     if isinstance(rel, list):
         if len(rel) != n_queries:
             raise FormatError(
@@ -272,11 +268,10 @@ def _parse_relevant(doc, n_queries: int, path) -> list:
     raise FormatError(f"{path}: 'relevant' must be a list or a query-indexed map")
 
 
-def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
-    """Read a manifest: ground truth plus any model matrix references.
+def _read_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
+    """A manifest's ground truth and model entries, with no model file looked at.
 
-    Model paths are resolved relative to the manifest's directory and must
-    exist at load time.
+    Model paths are resolved relative to the manifest's directory.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
@@ -314,19 +309,36 @@ def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
         if not isinstance(name, str):
             raise FormatError(f"{path}: models[{i}] name must be a string, got {name!r}")
         fmt = entry.get("format", "array")
-        if fmt not in ("array", "csv"):
-            raise FormatError(f"{path}: models[{i}] format must be 'array' or 'csv', got {fmt!r}")
+        # A tuple, not the dict: a format of [] or {} cannot be hashed.
+        if fmt not in tuple(_FORMATS):
+            raise FormatError(f"{path}: models[{i}] format must be {_FORMAT_NAMES}, got {fmt!r}")
         # An absolute path replaces ``base`` in the join.
-        mpath = os.path.join(base, entry["path"])
-        if not os.path.exists(mpath):
-            raise ValidationError(f"{path}: models[{i}] path does not exist: {mpath}")
-        models.append(ModelEntry(name=name, path=mpath, format=fmt))
+        models.append(ModelEntry(name=name, path=os.path.join(base, entry["path"]), format=fmt))
+    return gt, models
+
+
+def load_manifest(path) -> tuple[GroundTruth, list[ModelEntry]]:
+    """Read a manifest: ground truth plus any model matrix references.
+
+    Model paths are resolved relative to the manifest's directory. Each
+    must exist at load time and must not be a directory; a pipe is allowed.
+    """
+    gt, models = _read_manifest(path)
+    for i, m in enumerate(models):
+        if not os.path.exists(m.path):
+            raise ValidationError(f"{path}: models[{i}] path does not exist: {m.path}")
+        if os.path.isdir(m.path):
+            raise ValidationError(f"{path}: models[{i}] path is a directory: {m.path}")
     return gt, models
 
 
 def load_ground_truth(path) -> GroundTruth:
-    """Read only the ground-truth part of a manifest."""
-    return load_manifest(path)[0]
+    """Read only the ground-truth part of a manifest.
+
+    The model entries are parsed, but their files are not looked at, so a
+    manifest whose model files are gone still serves ``eval``.
+    """
+    return _read_manifest(path)[0]
 
 
 def write_manifest(path, gt: GroundTruth, models: list[ModelEntry] = ()) -> None:

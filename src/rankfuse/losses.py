@@ -17,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import ScoreMatrix
+from .matrix_ops import ScoreMatrix, _check_row_sums
+from .metrics import _is_integer
 
 __all__ = [
     "CLAMP_EPS",
@@ -96,7 +97,8 @@ class MlmBatch:
 
     def __post_init__(self):
         pred = np.asarray(self.predicted, dtype=np.float64)
-        targets = np.asarray(self.target_index, dtype=np.int64).ravel()
+        # Kept as objects, so a float, bool or NaN target is named, not truncated.
+        targets = np.asarray(self.target_index, dtype=object).ravel()
         if pred.ndim != 2:
             raise ShapeError(f"predicted must be 2-D (positions x vocab), got {pred.shape}")
         if pred.shape[0] == 0:
@@ -105,14 +107,15 @@ class MlmBatch:
             raise ShapeError(
                 f"{targets.size} target indices for {pred.shape[0]} predicted rows"
             )
-        if np.any(pred < 0.0) or not np.all(np.isfinite(pred)):
-            i, j = np.argwhere(~(pred >= 0.0))[0]
-            raise ValidationError(f"predicted[{i}, {j}] is {pred[i, j]!r}, expected >= 0")
-        sums = pred.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-        if bad.size:
-            i = int(bad[0])
-            raise ValidationError(f"predicted row {i} sums to {sums[i]!r}, expected 1 within 1e-9")
+        bad = ~(np.isfinite(pred) & (pred >= 0.0))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValidationError(f"predicted[{i}, {j}] is {pred[i, j]!r}, expected finite and >= 0")
+        _check_row_sums(pred, "predicted")
+        for i, t in enumerate(targets):
+            if not _is_integer(t):
+                raise ValidationError(f"target index {t!r} at position {i} is not an integer")
+        targets = targets.astype(np.int64)
         vocab = pred.shape[1]
         oob = np.flatnonzero((targets < 0) | (targets >= vocab))
         if oob.size:
@@ -158,6 +161,10 @@ class MaskSpec:
     def __post_init__(self):
         flags = np.asarray(self.masked_flags)
         if flags.dtype != np.bool_:
+            bad = (flags != 0) & (flags != 1)
+            if bad.any():
+                at = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise ValidationError(f"mask flag at {at} is {flags[at]!r}, expected 0 or 1")
             flags = flags.astype(bool)
         object.__setattr__(self, "masked_flags", flags)
 

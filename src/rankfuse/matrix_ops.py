@@ -75,6 +75,15 @@ def _as_matrix(data, what: str) -> np.ndarray:
     return arr
 
 
+def _check_row_sums(arr: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` at the first row of ``arr`` not summing to 1 within 1e-9."""
+    sums = arr.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"{what} row {i} sums to {sums[i]!r}, expected 1 within 1e-9")
+
+
 def _data(x) -> np.ndarray:
     """The matrix behind ``x``: ``x`` itself if it is an ndarray, else ``x.data``.
 
@@ -123,13 +132,7 @@ class ScoreMatrix:
         arr = _as_matrix(self.data, "score matrix")
         object.__setattr__(self, "data", arr)
         if self.is_probability:
-            sums = arr.sum(axis=1)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-            if bad.size:
-                i = int(bad[0])
-                raise ValidationError(
-                    f"probability row {i} sums to {sums[i]!r}, expected 1 within 1e-9"
-                )
+            _check_row_sums(arr, "probability")
             if np.any(arr <= 0.0) or np.any(arr > 1.0):
                 i, j = np.argwhere((arr <= 0.0) | (arr > 1.0))[0]
                 raise ValidationError(

@@ -48,8 +48,8 @@ class GroundTruth:
     gallery_size: int
 
     def __post_init__(self):
-        if self.gallery_size < 1:
-            raise ParameterError(f"gallery_size must be >= 1, got {self.gallery_size}")
+        if not _is_integer(self.gallery_size) or self.gallery_size < 1:
+            raise ParameterError(f"gallery_size must be a positive integer, got {self.gallery_size!r}")
         sets = []
         for q, rel in enumerate(self.relevant):
             try:
@@ -91,12 +91,27 @@ class GroundTruth:
     @classmethod
     def from_mapping(cls, mapping: Mapping, n_queries: int, gallery_size: int) -> "GroundTruth":
         """Build from {query_index: iterable_of_gallery_indices}."""
-        rows = []
-        for q in range(n_queries):
-            if q not in mapping:
-                raise ValidationError(f"ground truth missing query {q}")
-            rows.append(mapping[q])
-        return cls(relevant=tuple(rows), gallery_size=gallery_size)
+        return cls(relevant=tuple(_relevant_rows(mapping, n_queries, int)), gallery_size=gallery_size)
+
+
+def _relevant_rows(mapping: Mapping, n_queries: int, key) -> list:
+    """The values of ``mapping`` at ``key(0)``, ..., ``key(n_queries - 1)``.
+
+    Raises ``ValidationError`` naming the first query with no key, or else
+    the key that names no query and sorts first by ``str``.
+    """
+    # The first missing key is found within len(mapping) + 1 steps, so a
+    # huge n_queries builds no key list before it is rejected.
+    missing = 0
+    while key(missing) in mapping:
+        missing += 1
+    if missing < n_queries:
+        raise ValidationError(f"relevant map is missing query {missing}")
+    keys = [key(q) for q in range(n_queries)]
+    extra = sorted(set(mapping).difference(keys), key=str)
+    if extra:
+        raise ValidationError(f"relevant map key {extra[0]!r} names no query")
+    return [mapping[k] for k in keys]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .matrix_ops import EmbeddingMatrix, ScoreMatrix
-from .metrics import GroundTruth
+from .metrics import GroundTruth, _is_integer
 
 __all__ = ["SynthConfig", "gen_paired_embeddings", "gen_model_scores"]
 
@@ -38,10 +38,10 @@ class SynthConfig:
     model_skill: tuple = field(default=(0.7, 0.7))
 
     def __post_init__(self):
-        if self.n_items < 2:
-            raise ParameterError(f"n_items must be >= 2, got {self.n_items}")
-        if self.dim < 2:
-            raise ParameterError(f"dim must be >= 2, got {self.dim}")
+        for name, low in (("n_items", 2), ("dim", 2), ("seed", 0), ("n_models", 0)):
+            v = getattr(self, name)
+            if not _is_integer(v) or v < low:
+                raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         skills = tuple(float(s) for s in self.model_skill)

@@ -10,7 +10,7 @@ import rankfuse.cli
 import rankfuse.io_files
 import rankfuse.matrix_ops
 from rankfuse.cli import run_cli
-from rankfuse.io_files import load_matrix, write_manifest, write_matrix
+from rankfuse.io_files import ModelEntry, load_matrix, write_manifest, write_matrix
 from rankfuse.matrix_ops import EmbeddingMatrix, cosine_similarity
 from rankfuse.metrics import GroundTruth
 from test_matrix_ops import brute_force_topk
@@ -59,6 +59,11 @@ class TestEval:
         assert "R@1=0.3333" in out
         assert "R@5=1.0000" in out and "R@10=1.0000" in out
         assert err.count("clipped") == 2
+        # eval reads only the ground truth, so a model file the manifest
+        # lists need not exist, and the report is the same.
+        write_manifest(gt, GroundTruth.identity(3), [ModelEntry(name="gone", path="gone.npy")])
+        assert run_cli(["eval", "--scores", str(scores), "--gt", str(gt), "--k", "1,5,10"]) == 0
+        assert capsys.readouterr() == (out, err)
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
@@ -317,6 +322,10 @@ class TestStreamedEnsemble:
             argv = ["ensemble", "--manifest", str(manifest), "--out", str(out)]
             assert_rejects_naming(argv, tmp_path / f"m{position}.npy", capsys)
             assert loads == [] and not out.exists()
+            # eval checks its scores against the manifest the same way.
+            scores = tmp_path / f"m{position}.npy"
+            assert_rejects_naming(["eval", "--scores", str(scores), "--gt", str(manifest)], scores, capsys)
+            assert loads == []
         manifest = write_models(tmp_path, [None] * 3)
         write_matrix(np.eye(3), tmp_path / "init.npy")
         argv = ["ensemble", "--manifest", str(manifest), "--out", str(out),

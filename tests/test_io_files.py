@@ -116,6 +116,11 @@ class TestArrayFormat:
         np.save(p, np.zeros(5))
         with pytest.raises(FormatError, match="2-D"):
             load_matrix(p)
+        # Nor is such an array written, in either format.
+        for fmt in ("array", "csv"):
+            with pytest.raises(ValidationError, match=r"can only write 2-D matrices, got shape \(5,\)"):
+                write_matrix(np.zeros(5), tmp_path / "out", fmt)
+        assert not (tmp_path / "out").exists()
         # Boolean extents are not integers, even though bool subclasses int.
         p.write_bytes(npy_bytes(shape=(True, True)))
         with pytest.raises(FormatError, match="2-D"):
@@ -270,6 +275,9 @@ class TestCsvFormat:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(FormatError, match="unknown"):
             load_matrix(tmp_path / "x", "parquet")
+        with pytest.raises(FormatError, match="unknown matrix format 'parquet' \\(use 'array' or 'csv'\\)"):
+            write_matrix(np.eye(2), tmp_path / "x", "parquet")
+        assert not (tmp_path / "x").exists()
 
 
 class TestManifests:
@@ -369,13 +377,26 @@ class TestManifests:
             assert str(p) in err
             assert "Traceback" not in err
 
-    def test_model_paths_checked_at_load(self, tmp_path):
+    def test_model_paths_checked_at_load(self, tmp_path, capsys):
         p = tmp_path / "manifest.json"
         write_manifest(
             p, GroundTruth.identity(2), [ModelEntry(name="ghost", path="missing.npy")]
         )
         with pytest.raises(ValidationError, match="missing.npy"):
             load_manifest(p)
+        # The ground truth alone does not look at the model files.
+        assert load_ground_truth(p).relevant == GroundTruth.identity(2).relevant
+        # A path naming a directory is rejected, naming the manifest and entry.
+        for path in ("", ".", "/"):
+            write_manifest(p, GroundTruth.identity(2), [ModelEntry(name="d", path=path)])
+            with pytest.raises(ValidationError, match=re.escape(f"{p}: models[0] path is a directory")):
+                load_manifest(p)
+            assert_cli_rejects(p, tmp_path, capsys)
+        # A pipe is not a directory, and is allowed.
+        fifo = tmp_path / "pipe.npy"
+        os.mkfifo(fifo)
+        write_manifest(p, GroundTruth.identity(2), [ModelEntry(name="f", path="pipe.npy")])
+        assert [m.path for m in load_manifest(p)[1]] == [str(fifo)]
 
     def test_model_paths_resolved_relative(self, tmp_path):
         write_matrix(np.eye(2), tmp_path / "m.npy")

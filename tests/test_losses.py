@@ -97,6 +97,10 @@ class TestMatchingLoss:
     def test_non_binary_label(self):
         with pytest.raises(ValidationError):
             ItmBatch([0.5], [0.5])
+        # A probability outside [0, 1] is named by its position too.
+        for prob in (1.5, -0.1, np.nan):
+            with pytest.raises(ValidationError, match="prob at position 1"):
+                ItmBatch([1, 0], [0.5, prob])
 
     def test_label_symmetry_exact(self):
         # Dyadic probabilities so 1 - p is computed without rounding; the
@@ -143,10 +147,18 @@ class TestMaskedTokenLoss:
     def test_row_not_normalized_rejected(self):
         with pytest.raises(ValidationError, match="sums to"):
             MlmBatch([[0.5, 0.4]], [0])
+        # A negative, infinite or NaN entry is named before any row sum.
+        for bad in (-0.5, np.inf, np.nan):
+            with pytest.raises(ValidationError, match=r"predicted\[0, 0\]"):
+                MlmBatch([[bad, 0.0]], [0])
 
     def test_target_out_of_range(self):
         with pytest.raises(ValidationError, match="outside"):
             MlmBatch([[0.5, 0.5]], [2])
+        # A target that is not an integer is named, not truncated.
+        for target in (0.7, 1.0, np.nan, True):
+            with pytest.raises(ValidationError, match="at position 1 is not an integer"):
+                MlmBatch([[0.5, 0.5]] * 2, [0, target])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ParameterError):
@@ -211,6 +223,11 @@ class TestImageReconstructionLoss:
         flags = np.zeros((1, 2, 2), dtype=bool)
         flags[0, 0, :] = True
         assert MaskSpec(flags).mask_ratio == 0.5
+        # 0/1 flags of another dtype are read as booleans; other values are named.
+        assert MaskSpec(flags.astype(np.float64)).mask_ratio == 0.5
+        for bad in (0.5, 2, np.nan):
+            with pytest.raises(ValidationError, match=r"mask flag at \(0, 1, 0\)"):
+                MaskSpec([[[1, 0], [bad, 0]]])
 
 
 class TestTotalLoss:
@@ -266,6 +283,18 @@ class TestGradientChecks:
         rng = np.random.default_rng(13)
         for _ in range(20):
             assert finite_diff_grad_check(LossKind.MIM, random_mim_inputs(rng)) < 1e-4
+        # The raw-L1 variant, against central differences at every element
+        # away from a kink, masked or not.
+        eps = 1e-6
+        for _ in range(5):
+            rec, org, mask = random_mim_inputs(rng)
+            grad = mim_loss_grad(rec, org, mask, normalize=False)
+            for idx in zip(*np.nonzero(np.abs(rec - org) > 1e-3)):
+                up, down = rec.copy(), rec.copy()
+                up[idx] += eps
+                down[idx] -= eps
+                diff = mim_loss(up, org, mask, normalize=False) - mim_loss(down, org, mask, normalize=False)
+                assert diff / (2 * eps) == pytest.approx(grad[idx], rel=1e-4)
 
     def test_epsilon_range_enforced(self):
         with pytest.raises(ParameterError):

@@ -25,6 +25,10 @@ class TestGroundTruth:
     def test_out_of_range_index(self):
         with pytest.raises(ValidationError, match="query 1"):
             GroundTruth(relevant=({0}, {5}), gallery_size=3)
+        # A gallery size that is not a positive integer bounds no index.
+        for size in (2.5, True, 0):
+            with pytest.raises(ParameterError, match="gallery_size must be a positive integer"):
+                GroundTruth(relevant=({0},), gallery_size=size)
 
     def test_empty_relevant_set(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -37,6 +41,17 @@ class TestGroundTruth:
     def test_from_mapping_missing_query(self):
         with pytest.raises(ValidationError, match="missing query 1"):
             GroundTruth.from_mapping({0: [0]}, n_queries=2, gallery_size=3)
+        # A key that names no query is rejected, not dropped: the one first
+        # by ``str``, also among keys of mixed types.
+        for mapping, key in (
+            ({0: [0], 1: [1], 5: [0]}, "5"),
+            ({0: [0], 1: [1], "x": [0], 7: [1]}, "7"),
+            ({0: [0], 1: [1], "1": [0]}, "'1'"),
+        ):
+            with pytest.raises(ValidationError, match=f"relevant map key {key} names no query"):
+                GroundTruth.from_mapping(mapping, n_queries=2, gallery_size=2)
+        with pytest.raises(ValidationError, match="missing query 1"):
+            GroundTruth.from_mapping({0: [0], "1": [1]}, n_queries=2, gallery_size=2)
 
 
 class TestRecallAtK:

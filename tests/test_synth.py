@@ -15,6 +15,11 @@ class TestConfig:
     def test_too_few_items(self):
         with pytest.raises(ParameterError):
             SynthConfig(n_items=1)
+        # Integer fields take integers only, and a seed is not negative.
+        for field, value in (("n_items", 2.5), ("n_items", True), ("dim", 4.0),
+                             ("seed", 1.5), ("seed", -1), ("n_models", 2.0)):
+            with pytest.raises(ParameterError, match=f"{field} must be an integer"):
+                SynthConfig(**{field: value})
 
     def test_skill_count_mismatch(self):
         with pytest.raises(ParameterError):

@@ -128,6 +128,12 @@ class TestApplyTransform:
                               out_hw=(8, 8), interp="bilinear")
         assert out.data.shape == (8, 8)
         assert np.all(np.diff(out.data, axis=1) >= 0)  # monotone along the gradient
+        # An H x W x C image is resized channel by channel.
+        rgb = apply_transform(np.stack([img, 2 * img, -img], axis=-1), d, CropSpec(),
+                              np.random.default_rng(0), out_hw=(8, 8), interp="bilinear")
+        assert rgb.data.shape == (8, 8, 3)
+        for c, scale in enumerate((1, 2, -1)):
+            np.testing.assert_allclose(rgb.data[..., c], scale * out.data, rtol=1e-12, atol=0)
 
     def test_empty_image_rejected(self):
         d = ViewDecision(sampled_value=0.1, branch=Branch.GLOBAL)
