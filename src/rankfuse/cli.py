@@ -60,6 +60,13 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
     return vals
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of ``--seed``; numpy takes only seeds >= 0."""
+    if seed < 0:
+        raise ParameterError(f"--seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _check_extent(path, what: str, got, expected, source: str) -> None:
     """Reject a loaded matrix whose ``what`` differs from ``source``'s, naming its file."""
     if got != expected:
@@ -194,8 +201,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_lhp_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    decisions = vs.sample_decisions(rng, args.count)
+    decisions = vs.sample_decisions(_seeded_rng(args.seed), args.count)
     lines = [f"{d.sampled_value!r} {d.branch.value}" for d in decisions]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
@@ -238,9 +244,8 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _grad_check_instances(seed: int, instances: int):
+def _grad_check_instances(rng: np.random.Generator, instances: int):
     """Yield (name, max_rel_error) over random instances of each loss."""
-    rng = np.random.default_rng(seed)
     worst = {"itc": 0.0, "itm": 0.0, "mlm": 0.0, "mim": 0.0}
     for _ in range(instances):
         sim = rng.uniform(-1.0, 1.0, (4, 4))
@@ -265,6 +270,10 @@ def _grad_check_instances(seed: int, instances: int):
 
 
 def _cmd_losses_check(args) -> int:
+    rng = _seeded_rng(args.seed)
+    # With no instance, the gradient checks would pass having checked nothing.
+    if args.instances < 1:
+        raise ParameterError(f"--instances must be >= 1, got {args.instances}")
     checks = []
 
     def close(name, value, expected, tol=1e-8):
@@ -305,7 +314,7 @@ def _cmd_losses_check(args) -> int:
     close("total_unit_components", ls.total_loss(1, 1, 1, 1).total, 3.1356, tol=0.0)
     close("total_mixed", ls.total_loss(0.5, 0, 0, 2.0).total, 0.7712, tol=0.0)
 
-    for name, err in _grad_check_instances(args.seed, args.instances):
+    for name, err in _grad_check_instances(rng, args.instances):
         below(name, err, 1e-4)
 
     failures = 0

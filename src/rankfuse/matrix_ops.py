@@ -34,8 +34,8 @@ _BLOCK_CELLS = 32768
 # Cells in one row block of a single pass over a matrix (the top-k and the
 # finite scan). Each block is read once, so the cache matters less than the
 # per-block call overhead, which made the top-k slower at 32,768 cells; at
-# 2 MB, a block's int64 ``argpartition`` temporary stays small beside any
-# matrix large enough to be blocked.
+# 2 MB, the top-k's temporaries (a block's bool filter mask and its fold)
+# stay small beside any matrix large enough to be blocked.
 _PASS_CELLS = 262144
 
 
@@ -139,6 +139,15 @@ class ScoreMatrix:
                     f"probability entry at ({i}, {j}) is {arr[i, j]!r}, outside (0, 1]"
                 )
 
+    @classmethod
+    def _finite(cls, data: np.ndarray) -> ScoreMatrix:
+        """A non-probability ``ScoreMatrix`` over ``data``, a 2-D finite
+        float64 array the caller vouches for: nothing is scanned or copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "data", data)
+        object.__setattr__(out, "is_probability", False)
+        return out
+
     @property
     def n_queries(self) -> int:
         return self.data.shape[0]
@@ -227,7 +236,10 @@ def cosine_similarity(
     if a.n_cols != b.n_cols:
         raise ShapeError(f"feature dimensions differ: {a.n_cols} vs {b.n_cols}")
     unit_a, unit_b = _unit_rows(a.data, f" of {names[0]}"), _unit_rows(b.data, f" of {names[1]}")
-    return ScoreMatrix(unit_a @ unit_b.T)
+    # Each entry is a dot product of two finite unit rows, at most 1 + dim*eps
+    # in magnitude, so the product is finite by construction: it is wrapped
+    # without ScoreMatrix's finite scan.
+    return ScoreMatrix._finite(unit_a @ unit_b.T)
 
 
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
@@ -284,16 +296,18 @@ def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     index, both in which columns are kept and in their order, so the result
     is exactly the first k columns of a stable descending sort of the row.
 
-    No row is sorted in full. A partial selection (``argpartition``) finds
-    each row's k largest values in linear time; a row whose k-th value also
-    occurs outside the kept columns is rebuilt from the values above it plus
-    its lowest-index ties; then only the k kept columns are ordered. The cost
-    is O(m) per row plus O(k log k) for the order, against O(m log m) for a
-    full sort of an m-column row.
+    No row is sorted in full, and no row is partitioned. A threshold kernel
+    (see :func:`_topk_block`) folds each row into at most 8k column-group
+    maxima, takes the k-th largest of those as a proven lower bound on the
+    row's k-th value, and keeps only the entries at or above it: on
+    continuous scores about k of them per row. Only those survivors are
+    sorted. The cost is two O(m) passes per row (the fold and the filter)
+    plus a sort of the survivors, against O(m log m) for a full sort of an
+    m-column row.
 
     The rows are walked in blocks of :data:`_PASS_CELLS` cells, each written
     into the preallocated (n, k) result, so no temporary as large as ``s``
-    is built: the largest is one block's index array.
+    is built: the largest is one block's bool filter mask.
     """
     data = _data(s)
     n, n_cols = data.shape
@@ -313,18 +327,39 @@ def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
 
 def _topk_block(data: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k largest entries, ordered as :func:`topk_rows` orders them."""
-    n_cols = data.shape[1]
-    idx = np.argpartition(data, n_cols - k, axis=1)[:, n_cols - k:]
-    # argpartition leaves the k-th largest value in its sorted slot, the
-    # first kept column; which of its ties it kept is arbitrary.
-    kth = np.take_along_axis(data, idx[:, :1], axis=1)
-    tied = np.flatnonzero(np.count_nonzero(data >= kth, axis=1) > k)
-    if tied.size:
-        rows, v = data[tied], kth[tied]
-        above = rows > v
-        equal = rows == v
+    n, n_cols = data.shape
+    # Fold the row into g = min(m, 8k) column groups, group j holding columns
+    # j, j + g, j + 2g, ...; the last m mod g columns are left out. Each group
+    # maximum is a distinct entry of the row, so the k-th largest of them is a
+    # lower bound on the row's k-th value. On a row-major block the reshape
+    # is a view.
+    g = min(n_cols, 8 * k)
+    f = n_cols // g
+    head = data[:, : f * g].reshape(n, f, g).max(axis=1)
+    bound = np.partition(head, g - k, axis=1)[:, g - k, None]
+    # Every row keeps at least k entries at or above its bound, and its top k
+    # among them. A row keeping more than 2k has a run of ties at the bound
+    # (or many entries above it): only its lowest-index ties that fit in k
+    # are kept, so a tie-heavy row costs O(m), not a sort of the run.
+    keep = data >= bound
+    rows, cols = np.divmod(np.flatnonzero(keep), n_cols)
+    counts = np.bincount(rows, minlength=n)
+    heavy = np.flatnonzero(counts > 2 * k)
+    if heavy.size:
+        part, v = data[heavy], bound[heavy]
+        above = part > v
+        equal = part == v
         room = k - np.count_nonzero(above, axis=1, keepdims=True)
-        keep = above | (equal & (np.cumsum(equal, axis=1) <= room))
-        idx[tied] = np.nonzero(keep)[1].reshape(-1, k)
-    vals = np.take_along_axis(data, idx, axis=1)
-    return np.take_along_axis(idx, np.lexsort((idx, -vals), axis=1), axis=1)
+        keep[heavy] = above | (equal & (np.cumsum(equal, axis=1) <= room))
+        rows, cols = np.divmod(np.flatnonzero(keep), n_cols)
+        counts = np.bincount(rows, minlength=n)
+    # Lay each row's survivors out in column order in one padded row, pad
+    # with +inf keys, and stable-sort the rows by -value: ties stay in column
+    # order and the padding sorts last, after at least k survivors.
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    keys = np.full((n, counts.max()), np.inf)
+    keys[rows, slot] = -data[rows, cols]
+    table = np.empty(keys.shape, np.intp)
+    table[rows, slot] = cols
+    order = np.argsort(keys, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(table, order, axis=1)

@@ -13,6 +13,7 @@ from rankfuse.cli import run_cli
 from rankfuse.io_files import ModelEntry, load_matrix, write_manifest, write_matrix
 from rankfuse.matrix_ops import EmbeddingMatrix, cosine_similarity
 from rankfuse.metrics import GroundTruth
+from rankfuse.synth import SynthConfig, gen_paired_embeddings
 from test_matrix_ops import brute_force_topk
 
 
@@ -465,6 +466,26 @@ class TestSelectCommand:
             "1f46bc0f4b566f06978ed3f4365c18ded9be66d27aca90657459e9691d599916"
         )
 
+    def test_synth_shortlist_bytes_pinned(self, tmp_path, capsys):
+        # A 2000 x 2000 cosine guidance from synth embeddings at k = 10:
+        # every row block of the top-k kernel, full-size rows.
+        text, image, _ = gen_paired_embeddings(
+            SynthConfig(n_items=2000, dim=64, noise_sigma=1.0, seed=7)
+        )
+        write_matrix(text, tmp_path / "text.npy")
+        write_matrix(image, tmp_path / "image.npy")
+        assert run_cli(["sim", "--queries", str(tmp_path / "text.npy"),
+                        "--gallery", str(tmp_path / "image.npy"), "--out", str(tmp_path / "g.npy")]) == 0
+        assert run_cli(["select", "--features", str(tmp_path / "image.npy"),
+                        "--guidance", str(tmp_path / "g.npy"), "--k", "10",
+                        "--out", str(tmp_path / "sel.csv")]) == 0
+        capsys.readouterr()
+        data = (tmp_path / "sel.csv").read_bytes()
+        assert data.startswith(b"0,871,660,1256,953,174,1161,1242,1467,757\n")
+        assert hashlib.sha256(data).hexdigest() == (
+            "6791fed5075b7ad4ee556f9a386803a9cdcb3d6417ffe63eef6b5240980b3eea"
+        )
+
     def test_tie_heavy_guidance_matches_oracle(self, tmp_path, capsys):
         # Three integer levels, all-equal rows and rows of 0.0 mixed with
         # -0.0, read from an array file and from CSV.
@@ -506,7 +527,7 @@ class TestSelectCommand:
             tracemalloc.stop()
         capsys.readouterr()
         # The loaded guidance and one row block of top-k temporaries; a
-        # whole-matrix argpartition alone would add another n x m int64.
+        # whole-matrix index array alone would add another n x m int64.
         assert peak < 1.25 * n * m * 8
 
     def test_shape_mismatch_names_guidance(self, tmp_path, capsys):
@@ -540,6 +561,9 @@ class TestLhpSample:
         capsys.readouterr()
         assert a.read_bytes() != b.read_bytes()
 
+    def test_negative_seed_rejected(self, capsys):
+        assert_rejects_naming(["lhp-sample", "--seed", "-1"], "--seed", capsys)
+
     def test_branch_consistent_with_value(self, capsys):
         assert run_cli(["lhp-sample", "--seed", "3", "--count", "200"]) == 0
         out = capsys.readouterr().out
@@ -554,6 +578,14 @@ class TestLossesCheck:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "18/18 checks passed" in out
+
+    def test_negative_seed_rejected(self, capsys):
+        assert_rejects_naming(["losses-check", "--seed", "-1"], "--seed", capsys)
+
+    def test_no_instances_rejected(self, capsys):
+        # With no instance the gradient checks would pass without checking.
+        for n in ("0", "-1"):
+            assert_rejects_naming(["losses-check", "--instances", n], "--instances", capsys)
 
 
 class TestSynthCommand:

@@ -52,6 +52,28 @@ class TestWrapperValidation:
             ScoreMatrix([[1.0, 0.0]], is_probability=True)
 
 
+def lexsort_topk(data: np.ndarray, k: int) -> np.ndarray:
+    """Full stable lexsort of each row by (-value, column); its first k columns."""
+    cols = np.broadcast_to(np.arange(data.shape[1]), data.shape)
+    return np.lexsort((cols, -data), axis=1)[:, :k]
+
+
+def assert_matches_lexsort(data: np.ndarray, k: int) -> None:
+    """``topk_rows`` equals ``lexsort_topk``: indices, and values bit for bit."""
+    res = topk_rows(data, k)
+    oracle = lexsort_topk(data, k)
+    np.testing.assert_array_equal(res.indices, oracle)
+    assert res.values.tobytes() == np.take_along_axis(data, oracle, 1).tobytes()
+
+
+def fold_groups(m: int, k: int) -> np.ndarray:
+    """The column group each column of an m-column row lands in under the
+    top-k kernel's fold at k, or -1 for a column the fold leaves out."""
+    g = min(m, 8 * k)
+    cols = np.arange(m)
+    return np.where(cols < m // g * g, cols % g, -1)
+
+
 class TestCosineSimilarity:
     def test_identity_unit_vectors(self):
         m = EmbeddingMatrix([[1, 0], [0, 1]])
@@ -90,6 +112,18 @@ class TestCosineSimilarity:
         b = EmbeddingMatrix(rng.standard_normal((15, 7)))
         s = cosine_similarity(a, b).data
         assert np.all(s <= 1 + 1e-12) and np.all(s >= -1 - 1e-12)
+
+    def test_rescaled_rows_stay_in_range(self):
+        # Norms that overflow (1e300), underflow (1e-160) or are subnormal
+        # (1e-310) take the rescale path; the product is not scanned, so its
+        # range rests on every row coming out a finite unit row.
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((12, 5))
+        a = EmbeddingMatrix(np.vstack([base * c for c in (1e300, 1e-160, 1e-310, 1.0)]))
+        s = cosine_similarity(a, a).data
+        assert np.all(s <= 1 + 1e-12) and np.all(s >= -1 - 1e-12)
+        expected = np.tile(cosine_similarity(EmbeddingMatrix(base), EmbeddingMatrix(base)).data, (4, 4))
+        np.testing.assert_allclose(s, expected, atol=1e-12)
 
     def test_unit_diagonal_self_similarity(self):
         rng = np.random.default_rng(4)
@@ -173,6 +207,40 @@ class TestTopkRows:
                 oracle = brute_force_topk(data, k)
                 np.testing.assert_array_equal(res.indices, oracle)
                 assert res.values.tobytes() == np.take_along_axis(data, oracle, 1).tobytes()
+
+    def test_threshold_kernel_matches_lexsort_oracle(self):
+        # Odd and even widths, below and above the 8k columns the fold
+        # needs, at k = 2, inside tie runs and at k = m.
+        rng = np.random.default_rng(60)
+        for m in (3, 5, 7, 15, 16, 17, 31, 79, 81, 161, 1001):
+            kinds = [
+                rng.random((6, m)),
+                rng.integers(0, 3, (6, m)).astype(float),
+                rng.integers(-2, 1, (6, m)).astype(float),
+                np.full((6, m), 4.5),
+                rng.choice([0.0, -0.0], (6, m)),
+                rng.choice([0.0, -0.0, 1.0, -1.0], (6, m)),
+            ]
+            for k in sorted({2, 3, 10, m - 1, m} & set(range(2, m + 1))):
+                for data in kinds:
+                    assert_matches_lexsort(data, k)
+
+    def test_top_values_in_one_fold_group(self):
+        # Every top value sits in one column group of the fold (or in the
+        # columns it leaves out), so the bound comes from the other groups
+        # and many entries survive it; ties and distinct values alike.
+        rng = np.random.default_rng(61)
+        for m, k in ((1024, 4), (1001, 2), (2047, 10), (999, 3), (150, 10)):
+            groups = fold_groups(m, k)
+            for target in {0, -1} & set(groups.tolist()):
+                members = np.flatnonzero(groups == target)
+                rows = rng.random((4, m))
+                rows[0, members] = 1.0 + rng.random(members.size)
+                rows[1, members] = 2.0
+                rows[2, members] = np.sort(1.0 + rng.random(members.size))
+                rows[3, members[::2]] = 3.0
+                for kk in sorted({2, k, members.size, m} & set(range(2, m + 1))):
+                    assert_matches_lexsort(rows, kk)
 
     def test_scale_ranking_invariance(self):
         rng = np.random.default_rng(7)
