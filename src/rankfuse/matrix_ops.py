@@ -96,6 +96,16 @@ def _data(x) -> np.ndarray:
     return x if isinstance(x, np.ndarray) else x.data
 
 
+def _finite(cls, data: np.ndarray):
+    """A ``cls`` (``EmbeddingMatrix`` or ``ScoreMatrix``) over ``data``, a 2-D
+    finite float64 array the caller vouches for: nothing is scanned or copied,
+    and every other field reads its default (a ``ScoreMatrix`` is no
+    probability matrix)."""
+    out = object.__new__(cls)
+    object.__setattr__(out, "data", data)
+    return out
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """An n_rows x n_cols bank of feature vectors, one item per row.
@@ -138,15 +148,6 @@ class ScoreMatrix:
                 raise ValidationError(
                     f"probability entry at ({i}, {j}) is {arr[i, j]!r}, outside (0, 1]"
                 )
-
-    @classmethod
-    def _finite(cls, data: np.ndarray) -> ScoreMatrix:
-        """A non-probability ``ScoreMatrix`` over ``data``, a 2-D finite
-        float64 array the caller vouches for: nothing is scanned or copied."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "data", data)
-        object.__setattr__(out, "is_probability", False)
-        return out
 
     @property
     def n_queries(self) -> int:
@@ -193,8 +194,6 @@ def _unit_rows(data: np.ndarray, side: str = "") -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         norms = np.linalg.norm(data, axis=1)
     rescale = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
-    if rescale.size == 0:
-        return data / norms[:, None]
     peak = np.abs(data[rescale]).max(axis=1)
     zero = rescale[peak == 0.0]
     if zero.size:
@@ -239,7 +238,7 @@ def cosine_similarity(
     # Each entry is a dot product of two finite unit rows, at most 1 + dim*eps
     # in magnitude, so the product is finite by construction: it is wrapped
     # without ScoreMatrix's finite scan.
-    return ScoreMatrix._finite(unit_a @ unit_b.T)
+    return _finite(ScoreMatrix, unit_a @ unit_b.T)
 
 
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:

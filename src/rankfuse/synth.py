@@ -42,6 +42,8 @@ class SynthConfig:
             v = getattr(self, name)
             if not _is_integer(v) or v < low:
                 raise ParameterError(f"{name} must be an integer >= {low}, got {v!r}")
+        if not np.isfinite(self.noise_sigma):
+            raise ParameterError(f"noise_sigma must be finite, got {self.noise_sigma!r}")
         if self.noise_sigma < 0:
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         skills = tuple(float(s) for s in self.model_skill)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .losses import ImageTensor
+from .metrics import _is_integer
 
 __all__ = [
     "VIEW_STD",
@@ -77,6 +78,8 @@ class CropSpec:
             raise ParameterError(
                 f"min_scale {self.min_scale!r} exceeds max_scale {self.max_scale!r}"
             )
+        if not np.isfinite(self.aspect_jitter):
+            raise ParameterError(f"aspect_jitter must be finite, got {self.aspect_jitter!r}")
         if self.aspect_jitter < 0:
             raise ParameterError(f"aspect_jitter must be >= 0, got {self.aspect_jitter!r}")
 
@@ -89,6 +92,8 @@ def sample_decision(rng: np.random.Generator) -> ViewDecision:
 
 def sample_decisions(rng: np.random.Generator, count: int) -> list[ViewDecision]:
     """Draw ``count`` decisions; equals ``count`` sequential :func:`sample_decision` calls."""
+    if not _is_integer(count):
+        raise ParameterError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise ParameterError(f"count must be >= 0, got {count}")
     return [sample_decision(rng) for _ in range(count)]
@@ -150,6 +155,8 @@ def apply_transform(
     resize = _RESIZERS[interp]
     h, w = img.shape[:2]
     out_h, out_w = (h, w) if out_hw is None else out_hw
+    if not (_is_integer(out_h) and _is_integer(out_w)):
+        raise ParameterError(f"out_hw must hold integers, got ({out_h}, {out_w})")
     if out_h < 1 or out_w < 1:
         raise ParameterError(f"output size must be positive, got ({out_h}, {out_w})")
 

@@ -216,7 +216,7 @@ class TestEnsembleCommand:
         ])
         assert rc == 1
         assert "metric k must be in [1, 2], got 5" in capsys.readouterr().err
-        # A list flag that does not parse names itself.
+        # A list flag that does not parse, or a value no field takes, is named.
         model, out_dir = str(tmp_path / "m.npy"), str(tmp_path / "synth")
         for argv, flag in (
             (["ensemble", "--manifest", str(manifest), "--model", model, "--out",
@@ -224,8 +224,14 @@ class TestEnsembleCommand:
             (["synth", "--out-dir", out_dir, "--skills", ","], "--skills: float list is empty"),
             (["eval", "--scores", model, "--gt", str(manifest), "--k", "abc"], "--k: bad k list 'abc'"),
             (["eval", "--scores", model, "--gt", str(manifest), "--k", ","], "--k: k list is empty"),
+            (["synth", "--out-dir", out_dir, "--noise-sigma", "nan"], "noise_sigma must be finite"),
+            # A --trace that cannot be opened exits before --out is written.
+            (["ensemble", "--manifest", str(manifest), "--model", model, "--out",
+              str(tmp_path / "f.npy"), "--trace", str(tmp_path / "no" / "t.txt")],
+             tmp_path / "no" / "t.txt"),
         ):
             assert_rejects_naming(argv, flag, capsys)
+        assert not (tmp_path / "f.npy").exists() and not os.path.exists(out_dir)
 
     def test_shape_mismatch_names_file(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -380,7 +386,7 @@ class TestStreamedEnsemble:
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
 
     def test_each_file_scanned_once(self, tmp_path, capsys, monkeypatch):
-        # ensemble, eval and select hand the checked arrays on; sim still wraps them.
+        # ensemble, eval, select and sim hand the checked arrays on.
         manifest = write_models(tmp_path, [None] * 2)
         doc = json.loads(manifest.read_text())
         write_matrix(load_matrix(tmp_path / "m1.npy"), tmp_path / "m1.csv", "csv")
@@ -406,6 +412,11 @@ class TestStreamedEnsemble:
                 "--out", str(tmp_path / "top.csv")]
         assert run_cli(argv) == 0
         assert calls == Counter({bank: 1, out: 1})
+        calls.clear()
+        queries, gallery = files[0], files[3]
+        argv = ["sim", "--queries", queries, "--gallery", gallery, "--out", str(tmp_path / "s.npy")]
+        assert run_cli(argv) == 0
+        assert calls == Counter({queries: 1, gallery: 1})
         capsys.readouterr()
 
     def test_peak_memory_holds_one_model_at_a_time(self, tmp_path, capsys):

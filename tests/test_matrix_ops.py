@@ -14,6 +14,7 @@ from rankfuse.matrix_ops import (
     EmbeddingMatrix,
     ScoreMatrix,
     _block_rows,
+    _finite,
     cosine_similarity,
     l2_normalize_rows,
     row_softmax,
@@ -77,7 +78,11 @@ def fold_groups(m: int, k: int) -> np.ndarray:
 class TestCosineSimilarity:
     def test_identity_unit_vectors(self):
         m = EmbeddingMatrix([[1, 0], [0, 1]])
-        np.testing.assert_allclose(cosine_similarity(m, m).data, np.eye(2), atol=1e-15)
+        s = cosine_similarity(m, m)
+        np.testing.assert_allclose(s.data, np.eye(2), atol=1e-15)
+        # The no-scan constructor leaves a ScoreMatrix's flag at its default.
+        assert _finite(ScoreMatrix, s.data).is_probability is False
+        assert _finite(EmbeddingMatrix, s.data).data is s.data
 
     def test_forty_five_degrees(self):
         s = cosine_similarity(EmbeddingMatrix([[1, 1]]), EmbeddingMatrix([[1, 0]]))

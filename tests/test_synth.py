@@ -20,6 +20,10 @@ class TestConfig:
                              ("seed", 1.5), ("seed", -1), ("n_models", 2.0)):
             with pytest.raises(ParameterError, match=f"{field} must be an integer"):
                 SynthConfig(**{field: value})
+        # A noise scale is finite.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="noise_sigma must be finite"):
+                SynthConfig(noise_sigma=value)
 
     def test_skill_count_mismatch(self):
         with pytest.raises(ParameterError):

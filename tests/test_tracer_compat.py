@@ -142,3 +142,18 @@ def test_cli_select_on_plain_arrays_is_byte_identical_when_traced(tmp_path, caps
     # The top-k span counts its rows off the plain array the CLI passed.
     counts = [s["counts"] for s in tracer.spans if s["name"] == "matrix_ops.topk_rows"]
     assert counts == [{"ordered": 20 * 20, "kept": 20 * 3}]
+
+    # sim wraps its checked embeddings without a scan; the similarity span
+    # still counts its flops off those wrappers.
+    def sim(out):
+        argv = ["sim", "--queries", str(data / "text.npy"), "--gallery", str(data / "image.npy"),
+                "--out", str(out)]
+        assert rankfuse.cli.run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        return out.read_bytes()
+
+    plain = sim(tmp_path / "plain.npy")
+    traced_bytes, tracer = traced(lambda: sim(tmp_path / "traced.npy"))
+    assert traced_bytes == plain
+    counts = [s["counts"] for s in tracer.spans if s["name"] == "matrix_ops.cosine_similarity"]
+    assert counts == [{"gflop": 2.0 * 20 * 20 * 16 / 1e9}]

@@ -25,6 +25,10 @@ class TestDecisionSampling:
     def test_inconsistent_branch_rejected(self):
         with pytest.raises(ParameterError):
             ViewDecision(sampled_value=0.7, branch=Branch.GLOBAL)
+        # A count of decisions is an integer; a bool is not one.
+        for count in (2.5, True):
+            with pytest.raises(ParameterError, match="count must be an integer"):
+                sample_decisions(np.random.default_rng(0), count)
 
     def test_std_matches_variance_one_sixth(self):
         assert VIEW_STD**2 == pytest.approx(1.0 / 6.0, abs=1e-15)
@@ -139,6 +143,11 @@ class TestApplyTransform:
         d = ViewDecision(sampled_value=0.1, branch=Branch.GLOBAL)
         with pytest.raises(ShapeError):
             apply_transform(np.zeros((0, 3)), d, CropSpec(), np.random.default_rng(0))
+        # An output size that is not a pair of integers, on either branch.
+        for d in (d, ViewDecision(sampled_value=0.9, branch=Branch.LOCAL)):
+            for out_hw in ((2.7, 3), (True, 3), (float("nan"), 3)):
+                with pytest.raises(ParameterError, match="out_hw must hold integers"):
+                    apply_transform(np.zeros((4, 4)), d, CropSpec(), np.random.default_rng(0), out_hw)
 
     def test_bad_crop_spec(self):
         with pytest.raises(ParameterError):
@@ -147,3 +156,6 @@ class TestApplyTransform:
             CropSpec(min_scale=0.0)
         with pytest.raises(ParameterError):
             CropSpec(aspect_jitter=-1.0)
+        for jitter in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="aspect_jitter must be finite"):
+                CropSpec(aspect_jitter=jitter)
