@@ -140,15 +140,11 @@ def _staged(path, fmt: str, expected: tuple, source: str):
 
 def _cmd_ensemble(args) -> int:
     gt, entries = load_manifest(args.manifest)
-    extra = [
-        ModelEntry(
-            name=os.path.splitext(os.path.basename(p))[0],
-            path=p,
-            format=_infer_format(p, args.format),
-        )
+    entries = [
+        ModelEntry(name=os.path.splitext(os.path.basename(p))[0], path=p,
+                   format=_infer_format(p, args.format))
         for p in args.model
-    ]
-    entries = extra + entries
+    ] + entries
     if not entries:
         raise ParameterError(f"{args.manifest}: no model matrices to fuse (and no --model given)")
     expected = (gt.n_queries, gt.gallery_size)
@@ -180,13 +176,18 @@ def _cmd_ensemble(args) -> int:
         if not sep or label not in paths:
             raise
         raise ValidationError(f"{paths[label]}: {rest}") from None
-    report = ens.format_trace(trace)
-    # The trace goes first: a --trace that cannot be opened exits before
-    # --out is written.
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(report)
     write_matrix(fused, args.out, _infer_format(args.out, args.out_format))
+    report = ens.format_trace(trace)
+    if args.trace:
+        try:
+            with open(args.trace, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError:
+            # A --trace that cannot be written takes --out with it, if --out
+            # is a plain file (not, say, /dev/stdout or a link).
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
+            raise
     print(report, end="")
     return 0
 
@@ -197,11 +198,8 @@ def _cmd_select(args) -> int:
     rows = f"the rows of {args.features}"
     _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
-    # One formatting call over a "%d,...,%d\n" template per row takes about
-    # 40% of the time of joining the rows one at a time.
-    template = (",".join(["%d"] * selected.k) + "\n") * selected.n_queries
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(template % tuple(selected.indices.ravel().tolist()))
+        fh.write("".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist()))
     print(f"wrote top-{selected.k} indices for {selected.n_queries} queries to {args.out}")
     return 0
 

@@ -225,13 +225,23 @@ class TestEnsembleCommand:
             (["eval", "--scores", model, "--gt", str(manifest), "--k", "abc"], "--k: bad k list 'abc'"),
             (["eval", "--scores", model, "--gt", str(manifest), "--k", ","], "--k: k list is empty"),
             (["synth", "--out-dir", out_dir, "--noise-sigma", "nan"], "noise_sigma must be finite"),
-            # A --trace that cannot be opened exits before --out is written.
+            # A --trace or an --out that cannot be written leaves neither file.
             (["ensemble", "--manifest", str(manifest), "--model", model, "--out",
               str(tmp_path / "f.npy"), "--trace", str(tmp_path / "no" / "t.txt")],
              tmp_path / "no" / "t.txt"),
+            (["ensemble", "--manifest", str(manifest), "--model", model, "--out",
+              str(tmp_path / "no" / "f.npy"), "--trace", str(tmp_path / "t.txt")],
+             tmp_path / "no" / "f.npy"),
         ):
             assert_rejects_naming(argv, flag, capsys)
         assert not (tmp_path / "f.npy").exists() and not os.path.exists(out_dir)
+        assert not (tmp_path / "t.txt").exists()
+        # An --out that is not a plain file is written to, never removed.
+        (tmp_path / "f.npy").symlink_to(tmp_path / "target.npy")
+        assert_rejects_naming(["ensemble", "--manifest", str(manifest), "--model", model, "--out",
+                               str(tmp_path / "f.npy"), "--trace", str(tmp_path / "no" / "t.txt")],
+                              tmp_path / "no" / "t.txt", capsys)
+        assert (tmp_path / "f.npy").is_symlink() and (tmp_path / "target.npy").is_file()
 
     def test_shape_mismatch_names_file(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -2,13 +2,13 @@
 
 A code line holds a token that is not a comment; blank lines, comment lines
 and docstrings (of a module, class or function) are not counted. Run from
-anywhere: ``python tools/code_lines.py [--functions] [package-dir]``. With
-``--functions`` it lists each top-level function and class instead, with the
-code lines from its first decorator to its end, largest first.
+anywhere: ``python tools/code_lines.py [package-dir]``. After the per-module
+totals it lists each top-level function and class, with the code lines from
+its first decorator to its end, largest first.
 """
 
-import argparse
 import ast
+import sys
 import tokenize
 from pathlib import Path
 
@@ -50,19 +50,13 @@ def definition_lines(path: Path) -> dict:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Count the code lines of a Python package.")
-    parser.add_argument("package_dir", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src" / "rankfuse")
-    parser.add_argument("--functions", action="store_true",
-                        help="list each top-level function and class, largest first")
-    args = parser.parse_args()
-    paths = sorted(args.package_dir.glob("*.py"))
-    if args.functions:
-        rows = [(n, f"{p.name}:{name}") for p in paths for name, n in definition_lines(p).items()]
-        for n, name in sorted(rows, key=lambda row: (-row[0], row[1])):
-            print(f"{n:6d}  {name}")
-    else:
-        counts = {p.name: code_lines(p) for p in paths}
-        for name, n in counts.items():
-            print(f"{n:6d}  {name}")
-        print(f"{sum(counts.values()):6d}  total")
+    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "rankfuse"
+    paths = sorted(root.glob("*.py"))
+    counts = {p.name: code_lines(p) for p in paths}
+    for name, n in counts.items():
+        print(f"{n:6d}  {name}")
+    print(f"{sum(counts.values()):6d}  total")
+    print()
+    rows = [(n, f"{p.name}:{name}") for p in paths for name, n in definition_lines(p).items()]
+    for n, name in sorted(rows, key=lambda row: (-row[0], row[1])):
+        print(f"{n:6d}  {name}")
