@@ -34,6 +34,7 @@ from .io_files import (
     load_ground_truth,
     load_manifest,
     load_matrix,
+    _replaced,
     replacing,
     write_manifest,
     write_matrix,
@@ -80,6 +81,12 @@ def _check_extent(path, what: str, got, expected, source: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`rankfuse.io_files.replacing`."""
+    with replacing(path) as out, open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _cmd_sim(args) -> int:
     # load_matrix has checked each file; the wrappers carry the sizes that
     # perfbench/tracer.py reads off cosine_similarity's arguments.
@@ -87,7 +94,8 @@ def _cmd_sim(args) -> int:
     gallery = _finite(EmbeddingMatrix, load_matrix(args.gallery, _infer_format(args.gallery, args.format)))
     _check_extent(args.gallery, "feature dimension", gallery.n_cols, queries.n_cols, args.queries)
     scores = cosine_similarity(queries, gallery, names=(args.queries, args.gallery))
-    write_matrix(scores, args.out, _infer_format(args.out, args.out_format))
+    with replacing(args.out) as out:
+        write_matrix(scores, out, _infer_format(args.out, args.out_format))
     print(f"wrote {scores.n_queries}x{scores.n_gallery} score matrix to {args.out}")
     return 0
 
@@ -141,6 +149,10 @@ def _staged(path, fmt: str, expected: tuple, source: str):
 
 
 def _cmd_ensemble(args) -> int:
+    # One file named by both would take the trace and then the matrix over it.
+    target = args.trace and _replaced(args.trace)[0]
+    if target and target == _replaced(args.out)[0]:
+        raise ParameterError(f"--out {args.out} and --trace {args.trace} name the same file")
     gt, entries = load_manifest(args.manifest)
     entries = [
         ModelEntry(name=os.path.splitext(os.path.basename(p))[0], path=p,
@@ -198,8 +210,7 @@ def _cmd_select(args) -> int:
     rows = f"the rows of {args.features}"
     _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist()))
+    _write_text(args.out, "".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist()))
     print(f"wrote top-{selected.k} indices for {selected.n_queries} queries to {args.out}")
     return 0
 
@@ -209,8 +220,7 @@ def _cmd_lhp_sample(args) -> int:
     lines = [f"{d.sampled_value!r} {d.branch.value}" for d in decisions]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     else:
         print(text, end="")
     return 0

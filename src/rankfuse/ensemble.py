@@ -17,6 +17,12 @@ the smallest-w tie-break keeps the sweep deterministic. The sweep uses
 this: an all-zero block of rows is ranked once per step, with a band
 around each row's best relevant score that bounds that rounding, and only
 rows with a second score in the band are ranked again at each w.
+
+The sweep is one walk over blocks of rows for every k, each block ranked
+at every w into one array of ranks. k chooses only the block height, the
+float32 filter that ranks most rows at k > 1, and how the rows left
+undecided are ranked in float64: by an ``argmax`` hit test at k = 1 and
+by an exact rank count at k > 1.
 """
 
 from __future__ import annotations
@@ -158,6 +164,11 @@ _F32_MAX, _F32_MIN = 2.0**100, 2.0**-100
 _ZERO_GUARD = 4 * 2.0**-53
 
 
+def _magnitude(x: np.ndarray) -> float:
+    """The largest absolute value in ``x``."""
+    return max(x.max(), -x.min())
+
+
 def _zero_ranks(s: np.ndarray, t: np.ndarray, s_pairs: np.ndarray, v: np.ndarray, mask: np.ndarray, out: np.ndarray):
     """Rank a block whose rows of ``s`` are all +-0 once for the whole grid, else ``None``.
 
@@ -172,7 +183,7 @@ def _zero_ranks(s: np.ndarray, t: np.ndarray, s_pairs: np.ndarray, v: np.ndarray
     """
     if s_pairs.any() or s.any():
         return None
-    t_max = max(t.max(), -t.min())
+    t_max = _magnitude(t)
     if not _F32_MIN <= t_max <= _F32_MAX:
         return None
     g = _ZERO_GUARD * t_max
@@ -183,24 +194,29 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     """Recall@k of ``_blend(w, s, t)`` for every w in ``weights``, in order.
 
     The best relevant scores come from the (query, item) pairs alone, once
-    for the whole grid. The rows are then walked in blocks, each scored for
-    every w while its rows of s and t are still in cache, and the hits are
-    counted per w at the end. A block whose rows of s are all +-0 (the
-    first fusion step) is ranked once for the whole grid by
-    :func:`_zero_ranks`: at every w < 1 within the float32 bounds, its rows
-    rank as in t itself, and only rows with a near tie in t are ranked
-    again per w. At k = 1 a block is otherwise blended into two reused
-    buffers and scored by its rows' ``argmax``, the lowest index of each
-    row's maximum: a query is a hit exactly when that is its lowest best
-    relevant item, so nothing is compared or counted per block. At k > 1 a
-    block is copied to float32 once, less each row's lead (first) relevant
-    score, blended at every w, at half the bytes, and less each row's offset
-    from that lead to its best relevant blend. Its entries above a guard
-    band that bounds the rounding error are counted by
-    :func:`rankfuse.metrics._band_ranks`, which also finds the rows with a
-    second entry in the band. Those rows, and every block or weight outside
-    the float32 bounds, are blended in float64 and ranked by
-    :func:`rankfuse.metrics._count_ranks`, so every rank is exact.
+    for the whole grid. The rows are then walked in blocks, each ranked at
+    every w while its rows of s and t are still in cache, into one array of
+    ranks whose hits, ``ranks < k``, are counted per w at the end. A
+    block's ranks at one w come from the first of these that applies:
+
+    - A block whose rows of s are all +-0 (the first fusion step) is ranked
+      once for the whole grid by :func:`_zero_ranks`: at every w < 1 within
+      the float32 bounds, its rows rank as in t itself.
+    - At k > 1, a block within the float32 bounds is copied to float32
+      once, less each row's lead (first) relevant score, blended at every w,
+      at half the bytes, and less each row's offset from that lead to its
+      best relevant blend. Its entries above a guard band that bounds the
+      rounding error are counted by :func:`rankfuse.metrics._band_ranks`.
+    - Otherwise the block is blended in float64 at that w.
+
+    Either band count also finds the rows with a second entry in its band,
+    and those rows alone are blended in float64 at that w. A blend is
+    ranked exactly: at k = 1 by its rows' ``argmax``, the lowest index of
+    each row's maximum, which is a hit (rank 0) exactly when it is the
+    row's lowest best relevant item, and at k > 1 by
+    :func:`rankfuse.metrics._count_ranks`. A block at k = 1 has half the
+    cells of one at k > 1, whose float32 copies have the bytes of a float64
+    block.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
@@ -209,80 +225,51 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     best, first = _best_relevant(vals, gt)
     # From t alone, for the blocks whose rows of s are all zero; query q's
     # pairs are sp[ends[q]:ends[q + 1]].
-    t_best, t_first = _best_relevant(tp, gt)
+    t_best = _best_relevant(tp, gt)[0]
     ends = np.append(gt._starts, len(sp))
-    if k == 1:
-        rows = _block_rows(t.shape)
-        blend, part = np.empty((rows, m)), np.empty((rows, m))
-        mask, above, arg = np.empty((rows, m), bool), np.empty(rows, np.uint32), np.empty(rows, np.intp)
-        found = np.empty((len(weights), n), np.intp)
-        for lo, hi in _row_blocks(n, rows):
-            r = hi - lo
-            zero = _zero_ranks(s[lo:hi], t[lo:hi], sp[ends[lo] : ends[hi]], t_best[lo:hi], mask[:r], above[:r])
-            if zero:
-                t_max, undecided = zero
-                # A clear row's top item: its best relevant one when nothing
-                # ranks above it, and else none (-1).
-                top = np.where(above[:r] == 0, t_first[lo:hi], -1)
-            for i, wi in enumerate(weights):
-                q = slice(lo, hi)
-                if zero and (1.0 - wi) * t_max >= _F32_MIN:
-                    found[i, q] = top
-                    if not len(undecided):
-                        continue
-                    q = lo + undecided
-                sq = s[q]
-                c = len(sq)
-                a = _blend(wi, sq, t[q], out=blend[:c], part=part[:c])
-                found[i, q] = np.argmax(a, axis=1, out=arg[:c])
-        hits = np.count_nonzero(found == first, axis=1)
-        return [int(h) / n for h in hits]
-
-    # A float32 block of twice the cells has the bytes of a float64 one.
-    rows = _block_rows(t.shape, 2 * _BLOCK_CELLS)
+    rows = _block_rows(t.shape, _BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
-    ds, dt, x32, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
+    if k > 1:
+        ds, dt, x32, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
+        lead = gt._starts
+        s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
     # numpy sums uint8 into uint16 faster than into uint32.
     ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
     above = np.empty(rows, ranks.dtype)
-    lead = gt._starts
-    s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
     for lo, hi in _row_blocks(n, rows):
-        r = hi - lo
-        s_max = max(s[lo:hi].max(), -s[lo:hi].min())
-        t_max = max(t[lo:hi].max(), -t[lo:hi].min())
-        fits = max(s_max, t_max) <= _F32_MAX
-        # An all-zero block needs no float32 copy: every weight that passes
-        # the bounds below takes its one set of ranks.
-        zero = _zero_ranks(s[lo:hi], t[lo:hi], sp[ends[lo] : ends[hi]], t_best[lo:hi], mask[:r], above[:r])
-        if zero:
-            undecided = zero[1]
-        elif fits:
+        r, sb, tb = hi - lo, s[lo:hi], t[lo:hi]
+        zero = _zero_ranks(sb, tb, sp[ends[lo] : ends[hi]], t_best[lo:hi], mask[:r], above[:r])
+        fits = k > 1 and not zero
+        if fits:
+            s_max, t_max = _magnitude(sb), _magnitude(tb)
+            fits = max(s_max, t_max) <= _F32_MAX
+        if fits:
             # Differences of at most 2**101: finite in float64 and in float32.
-            np.subtract(s[lo:hi], s_lead[lo:hi, None], out=ds[:r])
-            np.subtract(t[lo:hi], t_lead[lo:hi, None], out=dt[:r])
+            np.subtract(sb, s_lead[lo:hi, None], out=ds[:r])
+            np.subtract(tb, t_lead[lo:hi, None], out=dt[:r])
             off = (best[:, lo:hi] - vals_lead[:, lo:hi]).astype(np.float32)
         for i, wi in enumerate(weights):
-            scale = wi * s_max + (1.0 - wi) * t_max
             q = slice(lo, hi)
-            if fits and scale >= _F32_MIN and not 0.0 < wi < _F32_MIN:
-                if zero:
-                    ranks[i, lo:hi] = above[:r]
-                else:
-                    x = np.multiply(ds[:r], np.float32(wi), out=x32[:r])
-                    np.add(x, np.multiply(dt[:r], np.float32(1.0 - wi), out=part32[:r]), out=x)
-                    if off[i].any():
-                        np.subtract(x, off[i, :, None], out=x)
-                    g = np.float32(_GUARD * scale)
-                    undecided = _band_ranks(x, g, -g, mask[:r], ranks[i, lo:hi])
-                if not len(undecided):
-                    continue
-                q = lo + undecided
+            if zero and (1.0 - wi) * zero[0] >= _F32_MIN:
+                ranks[i, q] = above[:r]
+                q = lo + zero[1]
+            elif fits and (scale := wi * s_max + (1.0 - wi) * t_max) >= _F32_MIN and not 0.0 < wi < _F32_MIN:
+                x = np.multiply(ds[:r], np.float32(wi), out=x32[:r])
+                np.add(x, np.multiply(dt[:r], np.float32(1.0 - wi), out=part32[:r]), out=x)
+                if off[i].any():
+                    np.subtract(x, off[i, :, None], out=x)
+                g = np.float32(_GUARD * scale)
+                q = lo + _band_ranks(x, g, -g, mask[:r], ranks[i, q])
             sq = s[q]
             c = len(sq)
+            if not c:
+                continue
             a = _blend(wi, sq, t[q], out=blend[:c], part=part[:c])
-            ranks[i, q] = _count_ranks(a, best[i, q], first[i, q])
+            if k == 1:
+                ranks[i, q] = np.argmax(a, axis=1) != first[i, q]
+            else:
+                ranks[i, q] = _count_ranks(a, best[i, q], first[i, q])
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 

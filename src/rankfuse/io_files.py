@@ -249,6 +249,21 @@ def write_matrix(m, path, format: str = "array") -> None:
     _format(format)[1](arr, path)
 
 
+def _replaced(path):
+    """The file :func:`replacing` replaces at ``path``, and that file's mode.
+
+    The file is None for a destination that exists but is not a regular
+    file, which is written in place, and the mode is None for a missing one.
+    """
+    # os.stat follows the links of /dev/stdout and /dev/fd/N in the kernel,
+    # where realpath would turn a pipe's "pipe:[N]" into a missing path.
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return os.path.realpath(path), None
+    return (os.path.realpath(path) if stat.S_ISREG(mode) else None), mode
+
+
 @contextlib.contextmanager
 def replacing(path):
     """Yield a path to write ``path``'s new contents to; it replaces ``path`` on success.
@@ -264,16 +279,10 @@ def replacing(path):
     read-only file, is refused as ``open`` refuses it, and so is one whose
     directory takes no new file; either error names ``path``.
     """
-    # os.stat follows the links of /dev/stdout and /dev/fd/N in the kernel,
-    # where realpath would turn a pipe's "pipe:[N]" into a missing path.
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+    target, mode = _replaced(path)
+    if target is None:
         yield path
         return
-    target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:

@@ -1,10 +1,16 @@
+import builtins
+import errno
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rankfuse.cli
 import rankfuse.io_files
@@ -21,6 +27,18 @@ def write_gt(path, n, gallery=None):
     write_manifest(path, GroundTruth.identity(n) if gallery is None else gallery)
 
 
+def run_cli_process(argv):
+    """``argv`` run by ``python -m rankfuse.cli`` in a new process, its stdout a pipe."""
+    src = str(Path(rankfuse.cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rankfuse.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=120,
+    )
+
+
 def assert_rejects_naming(argv, path, capsys):
     """The command exits 1 with ``path`` in its error and no traceback or warning."""
     rc = run_cli(argv)
@@ -29,6 +47,62 @@ def assert_rejects_naming(argv, path, capsys):
     assert str(path) in err
     assert "Traceback" not in err
     assert "warning" not in err
+
+
+class TestReplacedOutputs:
+    """``sim``, ``select`` and ``lhp-sample`` replace ``--out`` only once it is written."""
+
+    # Each command and the name, in rankfuse.cli, of what writes its output.
+    COMMANDS = [("sim", "write_matrix"), ("select", "open"), ("lhp-sample", "open")]
+
+    @staticmethod
+    def argv(command, tmp_path, out):
+        rng = np.random.default_rng(7)
+        a, b = str(tmp_path / "a.npy"), str(tmp_path / "b.npy")
+        if command == "sim":
+            write_matrix(rng.random((4, 3)), a)
+            write_matrix(rng.random((5, 3)), b)
+            return ["sim", "--queries", a, "--gallery", b, "--out", out]
+        if command == "select":
+            write_matrix(rng.random((5, 3)), a)
+            write_matrix(rng.random((4, 5)), b)
+            return ["select", "--features", a, "--guidance", b, "--k", "2", "--out", out]
+        return ["lhp-sample", "--seed", "5", "--count", "6", "--out", out]
+
+    @pytest.mark.parametrize("command, writer", COMMANDS)
+    def test_failed_write_keeps_the_old_file(self, command, writer, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        out.write_bytes(b"earlier result")
+        argv = self.argv(command, tmp_path, str(out))
+
+        def cut(*args, **kwargs):
+            # Some bytes reach the file, then the disk fills.
+            path = args[0] if writer == "open" else args[1]
+            with builtins.open(path, "w") as fh:
+                fh.write("cut")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(rankfuse.cli, writer, cut, raising=False)
+        assert run_cli(argv) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert out.read_bytes() == b"earlier result"
+        assert os.listdir(out.parent) == ["result"]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() != b"earlier result"
+        assert os.listdir(out.parent) == ["result"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
+    def test_dev_stdout_written_in_place(self, command, tmp_path, capsys):
+        out = tmp_path / "result"
+        assert run_cli(self.argv(command, tmp_path, str(out))) == 0
+        capsys.readouterr()
+        proc = run_cli_process(self.argv(command, tmp_path, "/dev/stdout"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(out.read_bytes())
 
 
 class TestUsageErrors:
@@ -255,6 +329,43 @@ class TestEnsembleCommand:
         capsys.readouterr()
         assert (tmp_path / "f.npy").is_symlink() and (tmp_path / "target.npy").is_file()
         assert (tmp_path / "t.txt").read_text().startswith("step=1 model=m ")
+
+    def test_one_file_for_out_and_trace_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"n_queries": 2, "n_gallery": 2, "relevant": [[0], [1]]}))
+        write_matrix(np.eye(2), tmp_path / "m.npy")
+        fuse = ["ensemble", "--manifest", str(manifest), "--model", str(tmp_path / "m.npy")]
+        f, link = tmp_path / "f.npy", tmp_path / "link.npy"
+        link.symlink_to(tmp_path / "missing.npy")
+        cases = [
+            (str(f), str(f)),  # a new file
+            (str(link), str(tmp_path / "missing.npy")),  # a missing path, through a symlink
+            (str(tmp_path / "." / "old.txt"), str(tmp_path / "old.txt")),  # an existing file
+        ]
+        (tmp_path / "old.txt").write_bytes(b"earlier result")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        for out, trace in cases:
+            rc = run_cli(fuse + ["--out", out, "--trace", trace])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert f"--out {out} and --trace {trace} name the same file" in err
+        # Checked before any model is read: a missing model is not reached.
+        rc = run_cli(["ensemble", "--manifest", str(manifest), "--model", str(tmp_path / "none.npy"),
+                      "--out", str(f), "--trace", str(f)])
+        assert rc == 1 and "name the same file" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == ["link.npy", "m.npy", "manifest.json", "old.txt"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_out_and_trace_both_on_dev_stdout(self, tmp_path):
+        # A destination that is not a regular file is written in place, twice.
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"n_queries": 2, "n_gallery": 2, "relevant": [[0], [1]]}))
+        write_matrix(np.eye(2), tmp_path / "m.npy")
+        proc = run_cli_process(["ensemble", "--manifest", str(manifest), "--model", str(tmp_path / "m.npy"),
+                                "--out", "/dev/stdout", "--trace", "/dev/stdout"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count(b"step=1 model=m ") == 2
 
     def test_shape_mismatch_names_file(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

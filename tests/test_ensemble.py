@@ -496,6 +496,20 @@ def record_band_counts(monkeypatch) -> list:
     return rows
 
 
+def record_blends(monkeypatch) -> list:
+    """Per float64 blend of the sweep at one weight, the number of rows it blended."""
+    rows = []
+    blend = ens._blend
+
+    def recorded(w, s, t, *args, **kwargs):
+        if np.ndim(w) == 0:
+            rows.append(len(s))
+        return blend(w, s, t, *args, **kwargs)
+
+    monkeypatch.setattr(ens, "_blend", recorded)
+    return rows
+
+
 class TestZeroAccumulator:
     """A block whose rows of s are all +-0, as at the first fusion step.
 
@@ -596,14 +610,20 @@ class TestZeroAccumulator:
             blocks = -(-n // (cells // m))
             counted = record_band_counts(monkeypatch)
             reranked = record_reranks(monkeypatch)
+            blended = record_blends(monkeypatch)
             _sweep_values(np.zeros((n, m)), t, gt, grid, k)
             assert len(counted) == blocks and sum(counted) == n
-            assert not reranked
+            # No near ties: no row is blended or ranked again at any weight.
+            assert not reranked and not blended
             monkeypatch.undo()
-            # A nonzero s: one count per block and weight at k > 1, none at k = 1.
+            # A nonzero s: one count per block and weight at k > 1, none at
+            # k = 1, where each block is blended once per weight instead.
             counted = record_band_counts(monkeypatch)
+            blended = record_blends(monkeypatch)
             _sweep_values(s, t, gt, grid, k)
             assert len(counted) == (blocks * len(grid) if k > 1 else 0)
+            if k == 1:
+                assert len(blended) == blocks * len(grid) and sum(blended) == n * len(grid)
             monkeypatch.undo()
 
 

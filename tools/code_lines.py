@@ -8,6 +8,7 @@ its first decorator to its end, largest first.
 """
 
 import ast
+import signal
 import sys
 import tokenize
 from pathlib import Path
@@ -50,6 +51,8 @@ def definition_lines(path: Path) -> dict:
 
 
 if __name__ == "__main__":
+    # A reader that stops early (``| head``) ends the listing quietly.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "rankfuse"
     paths = sorted(root.glob("*.py"))
     counts = {p.name: code_lines(p) for p in paths}
