@@ -238,14 +238,20 @@ def _cmd_synth(args) -> int:
     )
     os.makedirs(args.out_dir, exist_ok=True)
     text, image, gt = gen_paired_embeddings(cfg)
-    write_matrix(text, os.path.join(args.out_dir, "text.npy"))
-    write_matrix(image, os.path.join(args.out_dir, "image.npy"))
-    entries = []
-    for i, scores in enumerate(gen_model_scores(cfg)):
-        fname = f"model-{i}.npy"
-        write_matrix(scores, os.path.join(args.out_dir, fname))
-        entries.append(ModelEntry(name=f"model-{i}", path=fname))
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), gt, entries)
+    # Every file is written before any replaces its destination, so a write
+    # that fails leaves the directory as it was.
+    with contextlib.ExitStack() as stack:
+        def out(name):
+            return stack.enter_context(replacing(os.path.join(args.out_dir, name)))
+
+        write_matrix(text, out("text.npy"))
+        write_matrix(image, out("image.npy"))
+        entries = []
+        for i, scores in enumerate(gen_model_scores(cfg)):
+            fname = f"model-{i}.npy"
+            write_matrix(scores, out(fname))
+            entries.append(ModelEntry(name=f"model-{i}", path=fname))
+        write_manifest(out("manifest.json"), gt, entries)
     print(
         f"wrote {cfg.n_items}x{cfg.dim} embedding pair, {len(entries)} model "
         f"matrices, and manifest.json to {args.out_dir}"

@@ -23,6 +23,16 @@ at every w into one array of ranks. k chooses only the block height, the
 float32 filter that ranks most rows at k > 1, and how the rows left
 undecided are ranked in float64: by an ``argmax`` hit test at k = 1 and
 by an exact rank count at k > 1.
+
+At k > 1 the filter ranks every row only at the grid's anchors: its ends
+and both ends of every gap wider than the mean spacing (0, 0.5, 0.8 and
+0.95 for the default grid). Each item's blend less a relevant item's is
+linear in w, so at a weight between two anchors a row is decided by what
+the filter proved at the two: k items above the best relevant score at
+both make it a miss, and at most k items not below the lead relevant score
+at either make it a hit. Only the other rows, a few percent of them inside
+the default grid's dense tail, are ranked at the weights between: gathered
+from every block once the walk is done, and ranked like one more block.
 """
 
 from __future__ import annotations
@@ -150,6 +160,27 @@ def _blend(w, s: np.ndarray, t: np.ndarray, out=None, part=None) -> np.ndarray:
 # normal (1 - w >= 2**-53 whenever w < 1).
 _GUARD = 16 * 2.0**-24
 _F32_MAX, _F32_MIN = 2.0**100, 2.0**-100
+# The same band decides rows between two anchors (see _anchors) for every
+# weight there, from two masks the filter keeps at each: "above", x_j > g,
+# and "ahead", e_j >= -g, where e_j is x_j before the offset is taken off and
+# approximates a_j - a_lead. Take the exact lines L_j(w) = w*s_j + (1-w)*t_j,
+# h_j = L_j - max_r L_r over the relevant items r, and d_j = L_j - L_lead,
+# and let M_w be M at w. While M_w >= 2**-100, a float64 blend at w is within
+# 2**-51 * M_w of its line: fl(w*s_j) and fl(c*t_j) each err by 2**-53 of
+# their size, c = fl(1 - w) is exact for w >= 1/2 and else off by at most
+# 2**-54 <= 2**-53 * (1 - w), and the sum errs by 2**-53 * M_w. With the 14uM
+# and 8uM bounds above, x_j > g at an anchor w_a gives h_j(w_a) > uM_a, and
+# e_j < -g gives d_j(w_a) < -7uM_a. d_j and M_w are linear in w and h_j is
+# concave (a line less a max of lines), so between anchors w_a < w_b where
+# the filter ran both bounds hold at every w, with M_w >= min(M_a, M_b) >=
+# 2**-100, and beat the 2**-50 * M_w error of a difference of two float64
+# blends there. So an entry above at both anchors scores above the best
+# relevant blend at every w between them, and one ahead at neither scores
+# below the lead's. A row with k entries above at both anchors misses there,
+# and one with at most k entries ahead at either anchor (the lead, e = 0, is
+# one) hits: its best relevant item and every item ranked before it are
+# among them. Where an anchor took the float64 kernel, the weights between
+# it and its neighbours rank every row.
 # The band, around each row's best relevant raw score v, that ranks an
 # all-zero S block once for every w < 1. There fl(w*s_j) is +-0, exact, and
 # adding it to fl(c*t_j), c = fl(1 - w) > 0, changes no value, so each
@@ -190,6 +221,70 @@ def _zero_ranks(s: np.ndarray, t: np.ndarray, s_pairs: np.ndarray, v: np.ndarray
     return t_max, _band_ranks(t, v[:, None] + g, v[:, None] - g, mask, out)
 
 
+def _anchors(weights: tuple) -> list:
+    """The indices of the grid's anchors: the weights the k > 1 sweep ranks in full.
+
+    They are the first and last weights and both ends of every gap wider
+    than the mean spacing ``(w_last - w_first) / len(weights)``; a grid of
+    3 or fewer weights is all anchors. For the default grid they are 0,
+    0.5, 0.8 and 0.95, and the six weights between 0.8 and 0.95 rank only
+    the rows those two leave undecided (see ``_GUARD``).
+    """
+    n = len(weights)
+    if n <= 3:
+        return list(range(n))
+    mean = (weights[-1] - weights[0]) / n
+    wide = [i for i in range(n - 1) if weights[i + 1] - weights[i] > mean]
+    return sorted({0, n - 1}.union(wide, [i + 1 for i in wide]))
+
+
+def _guard(w: float, s_max, t_max):
+    """The guard band at weight ``w`` for rows of these magnitudes, or False.
+
+    False where the float32 bounds fail at ``w`` and the rows take float64.
+    """
+    scale = w * s_max + (1.0 - w) * t_max
+    return scale >= _F32_MIN and not 0.0 < w < _F32_MIN and np.float32(_GUARD * scale)
+
+
+def _filter_ranks(ds, dt, off, w, g, x, part, mask, out, proof=None) -> np.ndarray:
+    """The float32 filter at weight ``w``: band-count ``w * ds + (1 - w) * dt - off``.
+
+    ``ds`` and ``dt`` are float32 rows less each row's lead relevant score,
+    ``off`` each row's offset from that lead to its best relevant blend, and
+    ``g`` the guard band. ``x`` and ``part`` are float32 scratch, and ``mask``
+    and ``out`` go to :func:`rankfuse.metrics._band_ranks`, whose band rows
+    are returned. Given a pair of bool buffers, ``proof`` keeps this
+    anchor's two masks (see ``_GUARD``): "above", ``x > g``, and "ahead",
+    ``x >= -g`` before the offset is taken off.
+    """
+    x = np.multiply(ds, np.float32(w), out=x)
+    np.add(x, np.multiply(dt, np.float32(1.0 - w), out=part), out=x)
+    if proof:
+        np.greater_equal(x, -g, out=proof[1])
+    if off.any():
+        np.subtract(x, off[:, None], out=x)
+    if proof:
+        np.greater(x, g, out=proof[0])
+    return _band_ranks(x, g, -g, mask, out)
+
+
+def _undecided(left: tuple, right: tuple, k: int, mask: np.ndarray, sure: np.ndarray) -> np.ndarray:
+    """The rows two anchors' proofs leave undecided for every weight between them.
+
+    ``left`` and ``right`` are the anchors' (above, ahead) masks from
+    :func:`_filter_ranks`. Each row's count of entries above at both ends
+    goes into ``sure``: at least k is a miss and, on a decided row, fewer
+    is a hit, so ``sure`` is a valid rank for every decided row. A row is
+    decided when it misses or has at most k entries ahead at either end.
+    """
+    np.logical_and(left[0], right[0], out=mask)
+    np.add.reduce(mask.view(np.uint8), axis=1, dtype=sure.dtype, out=sure)
+    np.logical_or(left[1], right[1], out=mask)
+    ahead = np.add.reduce(mask.view(np.uint8), axis=1, dtype=sure.dtype)
+    return np.flatnonzero((sure < k) & (ahead > k))
+
+
 def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
     """Recall@k of ``_blend(w, s, t)`` for every w in ``weights``, in order.
 
@@ -202,11 +297,21 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     - A block whose rows of s are all +-0 (the first fusion step) is ranked
       once for the whole grid by :func:`_zero_ranks`: at every w < 1 within
       the float32 bounds, its rows rank as in t itself.
+    - At k > 1, a weight between two anchors (:func:`_anchors`) where the
+      float32 filter below runs is ranked by what the filter proved at the
+      two (:func:`_undecided`): a row with k entries proven above its best
+      relevant score at both anchors misses at every w between them, and
+      one with at most k entries not proven below its lead relevant score
+      at either anchor hits (see ``_GUARD``). The rows it leaves undecided
+      are gathered from every block once the walk is done and ranked at
+      those weights like one more block.
     - At k > 1, a block within the float32 bounds is copied to float32
       once, less each row's lead (first) relevant score, blended at every w,
       at half the bytes, and less each row's offset from that lead to its
       best relevant blend. Its entries above a guard band that bounds the
       rounding error are counted by :func:`rankfuse.metrics._band_ranks`.
+      At an anchor the filter also keeps the masks the rows between anchors
+      are decided by.
     - Otherwise the block is blended in float64 at that w.
 
     Either band count also finds the rows with a second entry in its band,
@@ -227,16 +332,36 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     # pairs are sp[ends[q]:ends[q + 1]].
     t_best = _best_relevant(tp, gt)[0]
     ends = np.append(gt._starts, len(sp))
+    # Each weight between two anchors, mapped to the two, and the second
+    # anchor of each such pair, mapped to the first.
+    anchors = _anchors(weights)
+    between = {i: (a, b) for a, b in zip(anchors, anchors[1:]) for i in range(a + 1, b)}
+    closes = {b: a for a, b in between.values()}
     rows = _block_rows(t.shape, _BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
+    # numpy sums uint8 into uint16 faster than into uint32.
+    ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
+    above, sure = np.empty(rows, ranks.dtype), np.empty(rows, ranks.dtype)
     if k > 1:
         ds, dt, x32, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
         lead = gt._starts
         s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
-    # numpy sums uint8 into uint16 faster than into uint32.
-    ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
-    above = np.empty(rows, ranks.dtype)
+        # The proof masks of two anchors that bound weights, consecutive
+        # anchors taking turns.
+        slots = [(np.empty((rows, m), bool), np.empty((rows, m), bool)) for _ in range(2)]
+        slot = {a: slots[j % 2] for j, a in enumerate(anchors) if {a - 1, a + 1} & between.keys()}
+
+    def exact(i, q):
+        """Rank the rows ``q``, at most a block's height, at ``weights[i]`` in float64."""
+        sq = s[q]
+        c = len(sq)
+        if c:
+            a = _blend(weights[i], sq, t[q], out=blend[:c], part=part[:c])
+            ranks[i, q] = np.argmax(a, axis=1) != first[i, q] if k == 1 else _count_ranks(a, best[i, q], first[i, q])
+
+    # Per anchor pair, the rows it leaves undecided, block by block.
+    undecided = {}
     for lo, hi in _row_blocks(n, rows):
         r, sb, tb = hi - lo, s[lo:hi], t[lo:hi]
         zero = _zero_ranks(sb, tb, sp[ends[lo] : ends[hi]], t_best[lo:hi], mask[:r], above[:r])
@@ -249,27 +374,44 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             np.subtract(sb, s_lead[lo:hi, None], out=ds[:r])
             np.subtract(tb, t_lead[lo:hi, None], out=dt[:r])
             off = (best[:, lo:hi] - vals_lead[:, lo:hi]).astype(np.float32)
+        # The float32 filter's guard band at each weight, or False.
+        guards = [fits and _guard(w, s_max, t_max) for w in weights]
         for i, wi in enumerate(weights):
             q = slice(lo, hi)
+            pair = between.get(i)
             if zero and (1.0 - wi) * zero[0] >= _F32_MIN:
                 ranks[i, q] = above[:r]
                 q = lo + zero[1]
-            elif fits and (scale := wi * s_max + (1.0 - wi) * t_max) >= _F32_MIN and not 0.0 < wi < _F32_MIN:
-                x = np.multiply(ds[:r], np.float32(wi), out=x32[:r])
-                np.add(x, np.multiply(dt[:r], np.float32(1.0 - wi), out=part32[:r]), out=x)
-                if off[i].any():
-                    np.subtract(x, off[i, :, None], out=x)
-                g = np.float32(_GUARD * scale)
-                q = lo + _band_ranks(x, g, -g, mask[:r], ranks[i, q])
-            sq = s[q]
-            c = len(sq)
-            if not c:
+            elif pair and guards[pair[0]] and guards[pair[1]]:
+                # Ranked with its pair's undecided rows, after the block walk.
                 continue
-            a = _blend(wi, sq, t[q], out=blend[:c], part=part[:c])
-            if k == 1:
-                ranks[i, q] = np.argmax(a, axis=1) != first[i, q]
-            else:
-                ranks[i, q] = _count_ranks(a, best[i, q], first[i, q])
+            elif g := guards[i]:
+                proof = i in slot and tuple(b[:r] for b in slot[i])
+                out = ranks[i, q]
+                q = lo + _filter_ranks(ds[:r], dt[:r], off[i], wi, g, x32[:r], part32[:r], mask[:r], out, proof)
+                a = closes.get(i)
+                if a is not None and guards[a]:
+                    und = _undecided(tuple(b[:r] for b in slot[a]), proof, k, mask[:r], sure[:r])
+                    ranks[a + 1 : i, lo:hi] = sure[:r]
+                    undecided.setdefault((a, i), []).append(lo + und)
+            exact(i, q)
+    # The rows two anchors left undecided, gathered from every block and
+    # ranked at the weights between the two like a block of their own.
+    for (a, b), parts in undecided.items():
+        und = np.concatenate(parts)
+        for lo in range(0, len(und), rows):
+            q = und[lo : lo + rows]
+            c, sq, tq = len(q), s[q], t[q]
+            s_max, t_max = _magnitude(sq), _magnitude(tq)
+            np.subtract(sq, s_lead[q, None], out=ds[:c])
+            np.subtract(tq, t_lead[q, None], out=dt[:c])
+            for i in range(a + 1, b):
+                rest = q
+                if g := _guard(weights[i], s_max, t_max):
+                    off = (best[i, q] - vals_lead[i, q]).astype(np.float32)
+                    rest = q[_filter_ranks(ds[:c], dt[:c], off, weights[i], g, x32[:c], part32[:c], mask[:c], above[:c])]
+                    ranks[i, q] = above[:c]
+                exact(i, rest)
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 

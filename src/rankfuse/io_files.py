@@ -277,8 +277,19 @@ def replacing(path):
     ``open(path, "w")`` would leave: the old file's, or else 0o666 less the
     umask. A destination that ``open(path, "w")`` may not write, such as a
     read-only file, is refused as ``open`` refuses it, and so is one whose
-    directory takes no new file; either error names ``path``.
+    directory takes no new file; either error names ``path``. So does an
+    ``OSError`` from the block that names no file, such as a failed write.
     """
+    try:
+        yield from _replacement(path)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
+
+
+def _replacement(path):
+    """The body of :func:`replacing`: yields once, the path to write."""
     target, mode = _replaced(path)
     if target is None:
         yield path

@@ -27,7 +27,7 @@ def write_gt(path, n, gallery=None):
     write_manifest(path, GroundTruth.identity(n) if gallery is None else gallery)
 
 
-def run_cli_process(argv):
+def run_cli_process(argv, **kwargs):
     """``argv`` run by ``python -m rankfuse.cli`` in a new process, its stdout a pipe."""
     src = str(Path(rankfuse.cli.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -36,6 +36,7 @@ def run_cli_process(argv):
         capture_output=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
         timeout=120,
+        **kwargs,
     )
 
 
@@ -67,6 +68,10 @@ class TestReplacedOutputs:
             write_matrix(rng.random((5, 3)), a)
             write_matrix(rng.random((4, 5)), b)
             return ["select", "--features", a, "--guidance", b, "--k", "2", "--out", out]
+        if command == "ensemble":
+            write_matrix(rng.random((4, 4)), a)
+            write_gt(tmp_path / "gt.json", 4)
+            return ["ensemble", "--manifest", str(tmp_path / "gt.json"), "--model", a, "--out", out]
         return ["lhp-sample", "--seed", "5", "--count", "6", "--out", out]
 
     @pytest.mark.parametrize("command, writer", COMMANDS)
@@ -93,6 +98,43 @@ class TestReplacedOutputs:
         capsys.readouterr()
         assert out.read_bytes() != b"earlier result"
         assert os.listdir(out.parent) == ["result"]
+
+    @pytest.mark.parametrize("command, writer", COMMANDS + [("ensemble", "write_matrix")])
+    def test_failed_write_names_the_destination(self, command, writer, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "result"
+        argv = self.argv(command, tmp_path, str(out))
+
+        def cut(*args, **kwargs):
+            # Some bytes reach the file, then a write fails as one past the
+            # file size limit does: with an error that names no file.
+            path = args[0] if writer == "open" else args[1]
+            with builtins.open(path, "w") as fh:
+                fh.write("cut")
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        monkeypatch.setattr(rankfuse.cli, writer, cut, raising=False)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
+        # No destination and no temporary file is left.
+        assert not [n for n in os.listdir(tmp_path) if n == "result" or n.endswith(".tmp")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
+    def test_failed_in_place_write_names_the_destination(self, command, tmp_path, capsys):
+        # /dev/full is written in place, and every write to it fails.
+        assert_rejects_naming(self.argv(command, tmp_path, "/dev/full"), "/dev/full", capsys)
+
+    def test_file_size_limit_names_the_destination(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        out = tmp_path / "x.txt"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+        proc = run_cli_process(["lhp-sample", "--count", "2000", "--out", str(out)], preexec_fn=limit)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(out)!r}\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
     @pytest.mark.parametrize("command", [c for c, _ in COMMANDS])
@@ -749,6 +791,35 @@ class TestSynthCommand:
         assert manifest["n_queries"] == manifest["n_gallery"] == 12
         assert [m["name"] for m in manifest["models"]] == ["model-0", "model-1"]
         assert load_matrix(out / "model-1.npy").shape == (12, 12)
+
+    # The write that fails: text.npy, model-1.npy (the fourth matrix), or the manifest.
+    @pytest.mark.parametrize("writer, failing", [("write_matrix", 1), ("write_matrix", 4), ("write_manifest", 1)])
+    def test_failed_write_keeps_the_old_instance(self, writer, failing, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "inst"
+        args = ["--n-items", "12", "--dim", "6", "--skills", "0.5,0.9"]
+        assert run_cli(["synth", "--out-dir", str(out), "--seed", "3"] + args) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert sorted(before) == ["image.npy", "manifest.json", "model-0.npy", "model-1.npy", "text.npy"]
+        calls = []
+        write = getattr(rankfuse.cli, writer)
+
+        def cut(*args):
+            calls.append(args)
+            if len(calls) < failing:
+                return write(*args)
+            # Some bytes reach the file, then the disk fills.
+            with builtins.open(args[1] if writer == "write_matrix" else args[0], "w") as fh:
+                fh.write("cut")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(rankfuse.cli, writer, cut)
+        assert run_cli(["synth", "--out-dir", str(out), "--seed", "4"] + args) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        assert run_cli(["synth", "--out-dir", str(out), "--seed", "4"] + args) == 0
+        assert sorted(os.listdir(out)) == sorted(before)
+        assert (out / "text.npy").read_bytes() != before["text.npy"]
 
     def test_reproducible_bytes(self, tmp_path, capsys):
         args = ["--seed", "4", "--n-items", "10", "--dim", "4", "--skills", "0.7"]

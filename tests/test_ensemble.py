@@ -340,6 +340,62 @@ def record_reranks(monkeypatch) -> list:
     return queries
 
 
+def record_reranks_per_weight(monkeypatch) -> dict:
+    """Per weight, the ``first`` items of each call of the k > 1 sweep's float64 rank kernel.
+
+    The sweep blends the rows it ranks in float64 at one weight just before
+    it ranks them, so each call is filed under the weight of the last blend.
+    """
+    queries, last = {}, [None]
+    blend, count_ranks = ens._blend, ens._count_ranks
+
+    def blended(w, *args, **kwargs):
+        if np.ndim(w) == 0:
+            last[0] = w
+        return blend(w, *args, **kwargs)
+
+    def counted(block, best, first, *args):
+        queries.setdefault(last[0], []).append(first.copy())
+        return count_ranks(block, best, first, *args)
+
+    monkeypatch.setattr(ens, "_blend", blended)
+    monkeypatch.setattr(ens, "_count_ranks", counted)
+    return queries
+
+
+def reranked_at(queries: dict, w) -> np.ndarray:
+    """The sorted ``first`` items ranked in float64 at weight ``w``."""
+    return np.sort(np.concatenate(queries.get(w, [np.empty(0, np.intp)])))
+
+
+def undecided_rows(s, t, gt, wa, wb, k, tol) -> np.ndarray:
+    """The rows whose rank between anchor weights ``wa`` and ``wb`` the two leave open.
+
+    From the float64 blends at the anchors: an entry is above when it scores
+    more than ``tol`` over its row's best relevant blend, and ahead when it
+    scores no more than ``tol`` under its lead relevant item's. A row is
+    undecided with fewer than k entries above at both anchors and more than
+    k ahead at either. The same rows at a tiny and at a wide ``tol`` show
+    that no entry lies where rounding could decide it.
+    """
+    rows, lead = np.arange(s.shape[0]), gt._items[gt._starts]
+    above, ahead = True, False
+    for w in (wa, wb):
+        a = w * s + (1.0 - w) * t
+        best = np.array([a[q, sorted(rel)].max() for q, rel in enumerate(gt.relevant)])
+        above = above & (a > best[:, None] + tol)
+        ahead = ahead | (a >= a[rows, lead][:, None] - tol)
+    sure, ahead = np.count_nonzero(above, axis=1), np.count_nonzero(ahead, axis=1)
+    return np.flatnonzero((sure < k) & (ahead > k))
+
+
+def exact_undecided_rows(s, t, gt, wa, wb, k) -> np.ndarray:
+    """:func:`undecided_rows`, after checking that rounding decides none of them."""
+    undecided = undecided_rows(s, t, gt, wa, wb, k, 1e-9)
+    assert np.array_equal(undecided, undecided_rows(s, t, gt, wa, wb, k, 1e-5))
+    return undecided
+
+
 class TestFloat32Filter:
     """The k > 1 sweep's float32 pass, its guard band and its float64 re-rank.
 
@@ -402,9 +458,16 @@ class TestFloat32Filter:
         gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
         for k in self.ks(m):
             check_sweep(s, t, gt, k, self.GRIDS)
-        queries = record_reranks(monkeypatch)
-        _sweep_values(s, t, gt, self.GRIDS[0], 2)
-        assert np.array_equal(np.sort(np.concatenate(queries)), np.sort(np.tile(r, len(self.GRIDS[0]))))
+        grid = self.GRIDS[0]
+        assert [grid[i] for i in ens._anchors(grid)] == [0.0, 0.25, 0.5, 0.9, 1.0]
+        queries = record_reranks_per_weight(monkeypatch)
+        _sweep_values(s, t, gt, grid, 2)
+        # Every row holds its twin in the band: each anchor re-ranks every
+        # row, and 0.95, between the anchors 0.9 and 1.0, the undecided ones.
+        undecided = exact_undecided_rows(s, t, gt, 0.9, 1.0, 2)
+        assert 0 < len(undecided) < n
+        for w in grid:
+            assert np.array_equal(reranked_at(queries, w), np.sort(r[undecided] if w == 0.95 else r))
 
     def test_only_rows_inside_the_band_are_reranked(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -424,12 +487,20 @@ class TestFloat32Filter:
         gt = GroundTruth(relevant=tuple({i} for i in range(n)), gallery_size=m)
         for k in self.ks(m):
             check_sweep(s, t, gt, k, self.GRIDS)
+        # Every row has hundreds of items above its relevant item at every w,
+        # so the anchors 0.9 and 1.0 leave no row undecided for 0.95.
+        undecided = exact_undecided_rows(s, t, gt, 0.9, 1.0, 5)
+        assert not len(undecided)
         for grid in self.GRIDS:
-            queries = record_reranks(monkeypatch)
+            anchors = [grid[i] for i in ens._anchors(grid)]
+            queries = record_reranks_per_weight(monkeypatch)
             _sweep_values(s, t, gt, grid, 5)
-            # Per w, exactly the rows in ``near``: the twin is in the band at
-            # w > 0 and ties at w = 0.
-            assert np.array_equal(np.sort(np.concatenate(queries)), np.repeat(near, len(grid)))
+            # Per anchor, exactly the rows in ``near``: the twin is in the
+            # band at w > 0 and ties at w = 0. Between anchors, the rows in
+            # ``near`` that are undecided.
+            for w in grid:
+                expected = near if w in anchors else np.intersect1d(near, undecided)
+                assert np.array_equal(reranked_at(queries, w), expected)
             monkeypatch.undo()
 
     def test_gallery_past_uint16_counts(self):
@@ -616,15 +687,156 @@ class TestZeroAccumulator:
             # No near ties: no row is blended or ranked again at any weight.
             assert not reranked and not blended
             monkeypatch.undo()
-            # A nonzero s: one count per block and weight at k > 1, none at
-            # k = 1, where each block is blended once per weight instead.
+            # A nonzero s: none at k = 1, where each block is blended once per
+            # weight instead. At k > 1, one count per block at each of the
+            # anchors 0, 0.5, 0.8 and 0.95; then, at each of the six weights
+            # between 0.8 and 0.95, one over the undecided rows alone.
             counted = record_band_counts(monkeypatch)
             blended = record_blends(monkeypatch)
             _sweep_values(s, t, gt, grid, k)
-            assert len(counted) == (blocks * len(grid) if k > 1 else 0)
             if k == 1:
+                assert not counted
                 assert len(blended) == blocks * len(grid) and sum(blended) == n * len(grid)
+            else:
+                undecided = exact_undecided_rows(s, t, gt, 0.8, 0.95, k)
+                assert counted == default_grid_band_counts(n, cells // m, undecided)
             monkeypatch.undo()
+
+
+def default_grid_band_counts(n: int, rows: int, undecided: np.ndarray) -> list:
+    """The rows of each band count of a k > 1 default-grid sweep over blocks of ``rows`` rows.
+
+    Each block is counted whole at the anchors 0, 0.5, 0.8 and 0.95. The
+    ``undecided`` rows of every block are then gathered, a block's height
+    at a time, and counted at each of the six weights between 0.8 and 0.95.
+    """
+    counts = []
+    for lo in range(0, n, rows):
+        counts += [min(rows, n - lo)] * 4
+    for lo in range(0, len(undecided), rows):
+        counts += [min(rows, len(undecided) - lo)] * 6
+    return counts
+
+
+class TestAnchorPruning:
+    """Weights between two anchors rank only the rows the anchors leave undecided.
+
+    Every case is checked against the per-point ``query_ranks`` sweep and a
+    stable-sort rank; the structure is watched through the band count and
+    the float64 rank kernel.
+    """
+
+    GRIDS = [
+        (0.0, 0.3, 1.0),
+        (0.0, 0.25, 0.5, 0.75, 1.0),
+        DEFAULT_WEIGHT_GRID,
+        DEFAULT_WEIGHT_GRID + (1.0,),
+        tuple(np.linspace(0.0, 1.0, 21)),
+        (0.0, 0.1, 0.11, 0.12, 0.5, 0.51, 0.52, 0.7, 0.99, 1.0),
+    ]
+
+    def test_anchors_come_from_the_grid(self):
+        def anchors(grid):
+            return [grid[i] for i in ens._anchors(grid)]
+
+        assert anchors(DEFAULT_WEIGHT_GRID) == [0.0, 0.5, 0.8, 0.95]
+        assert anchors(DEFAULT_WEIGHT_GRID + (1.0,)) == [0.0, 0.5, 0.8, 1.0]
+        # No weight between anchors: 3 weights or fewer, or no gap narrower
+        # than the mean spacing.
+        for grid in self.GRIDS[:2] + [self.GRIDS[4], (0.5,), (0.0, 0.001, 0.002)]:
+            assert anchors(grid) == list(grid)
+        assert anchors(self.GRIDS[5]) == [0.0, 0.12, 0.5, 0.52, 0.7, 0.99, 1.0]
+
+    def test_random_inputs_match_per_point_sweep(self):
+        rng = np.random.default_rng(51)
+        n, m = 90, 300
+        kinds = [
+            lambda: rng.random((n, m)),
+            lambda: tie_heavy(rng, (n, m), 4),
+            lambda: np.round(rng.random((n, m)), 2),
+            lambda: 1e3 * rng.random((n, m)),
+        ]
+        for make in kinds:
+            s = make()
+            # Independent and closely related models: the second leaves
+            # most rows decided and many near the line between hit and miss.
+            for t in (make(), s + 0.05 * make()):
+                gt = GroundTruth(
+                    relevant=tuple(
+                        rng.choice(m, size=int(rng.integers(1, 4)), replace=False) for _ in range(n)
+                    ),
+                    gallery_size=m,
+                )
+                for k in (2, 3, 5, 10):
+                    check_sweep(s, t, gt, k, self.GRIDS)
+
+    def test_relevant_lines_crossing_between_anchors(self):
+        rng = np.random.default_rng(52)
+        n, m = 120, 400
+        s, t = 0.5 * rng.random((n, m)), 0.5 * rng.random((n, m))
+        relevant = []
+        for q in range(n):
+            a, b, *others = rng.choice(m, size=int(rng.integers(2, 4)), replace=False)
+            # Two relevant lines, w and 1.75 - w, cross at 0.875: the best
+            # relevant score is 0.95 at the anchors 0.8 and 0.95 and dips to
+            # 0.875 between them. A third relevant item scores low.
+            s[q, a], t[q, a] = 1.0, 0.0
+            s[q, b], t[q, b] = 0.75, 1.75
+            relevant.append({int(a), int(b), *map(int, others)})
+            free = np.setdiff1d(np.arange(m), [a, b, *others])
+            picks = rng.choice(free, size=5, replace=False)
+            # One to three flat competitors above 0.95, some by less than the
+            # guard band: above the best relevant score at both anchors and
+            # so at every weight between them.
+            tops = picks[: int(rng.integers(1, 4))]
+            s[q, tops] = t[q, tops] = 0.95 + 10.0 ** rng.uniform(-8, -1, len(tops))
+            # Flat competitors at 0.89 or 0.91: below it at both anchors but
+            # above it around the crossing.
+            dips = picks[3 : 3 + int(rng.integers(0, 3))]
+            s[q, dips] = t[q, dips] = rng.choice([0.89, 0.91], len(dips))
+        gt = GroundTruth(relevant=tuple(relevant), gallery_size=m)
+        for k in (2, 3, 4, 5):
+            check_sweep(s, t, gt, k, self.GRIDS[2:4])
+        # Recall at 0.875 falls below its value at both anchors around it.
+        values = _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, 3)
+        assert values[4] < min(values[2], values[9])
+
+    def test_default_grid_reranks_only_undecided_rows_between_anchors(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        n, m, k = 150, 1000, 5
+        grid = DEFAULT_WEIGHT_GRID
+        # Each relevant item scores 0.5 in s and t, and every other item
+        # clears it by 0.1 in both, above or below. A row has hundreds of
+        # items above it (a miss at every w), k - 1, or k - 2 or none. The
+        # rows in ``near`` also get a nextafter twin, in the band at every
+        # w > 0. A row with k - 1 items above is undecided between the
+        # anchors 0.8 and 0.95 only with a twin: with the item itself, more
+        # than k items are then not below it.
+        high = rng.random((n, m)) < rng.choice([0.0, 0.5], n)[:, None]
+        few = rng.choice(n, size=60, replace=False)
+        for q, h in zip(few, rng.choice([k - 1, k - 2], len(few))):
+            high[q] = False
+            high[q, rng.choice(np.setdiff1d(np.arange(m), [q, (q + 1) % m]), h, replace=False)] = True
+        s = np.where(high, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        t = np.where(high, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        rows = np.arange(n)
+        s[rows, rows] = t[rows, rows] = 0.5
+        near = np.sort(rng.choice(n, size=75, replace=False))
+        s[near, (near + 1) % m] = np.nextafter(0.5, 1.0)
+        t[near, (near + 1) % m] = 0.5
+        gt = GroundTruth(relevant=tuple({i} for i in range(n)), gallery_size=m)
+        undecided = exact_undecided_rows(s, t, gt, 0.8, 0.95, k)
+        assert np.array_equal(undecided, np.intersect1d(near, rows[high.sum(axis=1) == k - 1]))
+        assert len(undecided) > 5
+        check_sweep(s, t, gt, k, [grid])
+        counted = record_band_counts(monkeypatch)
+        queries = record_reranks_per_weight(monkeypatch)
+        _sweep_values(s, t, gt, grid, k)
+        # The anchors re-rank every row in ``near``; the six weights between
+        # 0.8 and 0.95 band-count and re-rank the undecided rows alone.
+        for w in grid:
+            assert np.array_equal(reranked_at(queries, w), near if w in (0.0, 0.5, 0.8, 0.95) else undecided)
+        assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m, undecided)
 
 
 class TestIterativeEnsemble:
