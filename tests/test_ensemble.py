@@ -323,28 +323,13 @@ class TestBlockedSweep:
                 assert query_ranks(data, gt).tolist() == stable_sort_ranks(data, gt)
 
 
-def record_reranks(monkeypatch) -> list:
-    """Per call of the float64 rank kernel in the k > 1 sweep, its rows' ``first`` items.
-
-    ``first`` is each row's lowest best relevant item: its query under
-    identity truth, and its one relevant item under single-item truth.
-    """
-    queries = []
-    count_ranks = ens._count_ranks
-
-    def recorded(block, best, first, *args):
-        queries.append(first.copy())
-        return count_ranks(block, best, first, *args)
-
-    monkeypatch.setattr(ens, "_count_ranks", recorded)
-    return queries
-
-
-def record_reranks_per_weight(monkeypatch) -> dict:
+def record_reranks(monkeypatch) -> dict:
     """Per weight, the ``first`` items of each call of the k > 1 sweep's float64 rank kernel.
 
-    The sweep blends the rows it ranks in float64 at one weight just before
-    it ranks them, so each call is filed under the weight of the last blend.
+    ``first`` is each row's lowest best relevant item: its query under
+    identity truth, and its one relevant item under single-item truth. The
+    sweep blends the rows it ranks in float64 at one weight just before it
+    ranks them, so each call is filed under the weight of the last blend.
     """
     queries, last = {}, [None]
     blend, count_ranks = ens._blend, ens._count_ranks
@@ -427,7 +412,7 @@ class TestFloat32Filter:
             # Every row of every block is ranked in float64 (warnings are errors).
             queries = record_reranks(monkeypatch)
             _sweep_values(s, t, gt, self.GRIDS[0], 5)
-            assert len(np.concatenate(queries)) == n * len(self.GRIDS[0])
+            assert {w: len(reranked_at(queries, w)) for w in queries} == dict.fromkeys(self.GRIDS[0], n)
             monkeypatch.undo()
 
     def test_weights_below_float32_range_take_float64(self, monkeypatch):
@@ -441,7 +426,7 @@ class TestFloat32Filter:
         queries = record_reranks(monkeypatch)
         _sweep_values(s, t, gt, grid, 5)
         # The two tiny weights only.
-        assert len(np.concatenate(queries)) == 2 * n
+        assert {w: len(reranked_at(queries, w)) for w in queries} == {1e-300: n, 2.0**-101: n}
 
     def test_nextafter_near_ties_in_every_row_are_reranked(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -460,7 +445,7 @@ class TestFloat32Filter:
             check_sweep(s, t, gt, k, self.GRIDS)
         grid = self.GRIDS[0]
         assert [grid[i] for i in ens._anchors(grid)] == [0.0, 0.25, 0.5, 0.9, 1.0]
-        queries = record_reranks_per_weight(monkeypatch)
+        queries = record_reranks(monkeypatch)
         _sweep_values(s, t, gt, grid, 2)
         # Every row holds its twin in the band: each anchor re-ranks every
         # row, and 0.95, between the anchors 0.9 and 1.0, the undecided ones.
@@ -493,7 +478,7 @@ class TestFloat32Filter:
         assert not len(undecided)
         for grid in self.GRIDS:
             anchors = [grid[i] for i in ens._anchors(grid)]
-            queries = record_reranks_per_weight(monkeypatch)
+            queries = record_reranks(monkeypatch)
             _sweep_values(s, t, gt, grid, 5)
             # Per anchor, exactly the rows in ``near``: the twin is in the
             # band at w > 0 and ties at w = 0. Between anchors, the rows in
@@ -667,7 +652,7 @@ class TestZeroAccumulator:
             # Every row is ranked in float64 at every weight.
             queries = record_reranks(monkeypatch)
             _sweep_values(np.zeros((n, m)), t, gt, DEFAULT_WEIGHT_GRID, 5)
-            assert len(np.concatenate(queries)) == n * len(DEFAULT_WEIGHT_GRID)
+            assert {w: len(reranked_at(queries, w)) for w in queries} == dict.fromkeys(DEFAULT_WEIGHT_GRID, n)
             monkeypatch.undo()
 
     def test_one_band_count_per_block(self, monkeypatch):
@@ -830,7 +815,7 @@ class TestAnchorPruning:
         assert len(undecided) > 5
         check_sweep(s, t, gt, k, [grid])
         counted = record_band_counts(monkeypatch)
-        queries = record_reranks_per_weight(monkeypatch)
+        queries = record_reranks(monkeypatch)
         _sweep_values(s, t, gt, grid, k)
         # The anchors re-rank every row in ``near``; the six weights between
         # 0.8 and 0.95 band-count and re-rank the undecided rows alone.
