@@ -19,6 +19,7 @@ from rankfuse.ensemble import (
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix
 from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
+from rankfuse.synth import SynthConfig, gen_model_scores
 
 
 def complementary_pair():
@@ -172,6 +173,22 @@ def tie_heavy(rng, shape, levels):
     return data
 
 
+def separated(rng, n, m, effects):
+    """One model per effect: standard normal scores, each row's 1-4 relevant items shifted up by it.
+
+    Like a person-ID search, every blend leaves few cells near a row's best
+    relevant score. Returns the models and their ground truth.
+    """
+    relevant = tuple(rng.choice(m, size=int(rng.integers(1, 5)), replace=False) for _ in range(n))
+    rows, items = np.repeat(np.arange(n), [len(r) for r in relevant]), np.concatenate(relevant)
+    mats = []
+    for effect in effects:
+        x = rng.standard_normal((n, m))
+        x[rows, items] += effect
+        mats.append(x)
+    return mats, GroundTruth(relevant=relevant, gallery_size=m)
+
+
 class TestBlockedSweep:
     """The row-block sweep against a per-point sweep and a stable-sort rank."""
 
@@ -211,21 +228,40 @@ class TestBlockedSweep:
         for s in (rng.random((n, m)), np.zeros((n, m))):
             self.check(s, t, gt, 5)
 
-    def test_peak_memory_below_one_full_matrix(self):
+    def test_peak_memory_below_one_full_matrix(self, monkeypatch):
         rng = np.random.default_rng(13)
         n = m = 1000
-        s, t = ScoreMatrix(rng.random((n, m))), ScoreMatrix(rng.random((n, m)))
         gt = GroundTruth.identity(n)
-        # k = 1 takes the argmax hit test, k = 5 the rank count.
-        for k in (1, 5):
-            tracemalloc.start()
-            try:
-                sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
-            assert peak < n * m * 8
+        # Every row of the second pair has 62 candidates for the prefilter
+        # (see TestCandidatePrefilter): its relevant item at 0.5 and 61 items
+        # above it, the rest below 0.4. That is just under the limit of 1/16
+        # of a block's cells, 62.5 per row of 1000, so every block is ranked
+        # from its gathered candidates.
+        above = np.stack([rng.choice(np.setdiff1d(np.arange(m), [q]), 61, replace=False) for q in range(n)])
+        near_limit = []
+        for _ in range(2):
+            x = 0.4 * rng.random((n, m))
+            x[np.arange(n)[:, None], above] = 0.6 + 0.4 * rng.random((n, 61))
+            np.fill_diagonal(x, 0.5)
+            near_limit.append(ScoreMatrix(x))
+        random = [ScoreMatrix(rng.random((n, m))) for _ in range(2)]
+        for (s, t), sparse in ((random, False), (near_limit, True)):
+            # k = 1 takes the argmax hit test, k = 5 the rank count.
+            for k in (1, 5):
+                tried = record_candidates(monkeypatch)
+                tracemalloc.start()
+                try:
+                    sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                monkeypatch.undo()
+                # The prefilter stops at the first random block and takes
+                # every near-limit one.
+                counts = [None if cells is None else len(cells) for cells in tried]
+                assert counts == ([62 * r for r in block_heights(n, m, k)] if sparse else [None])
+                # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
+                assert peak < n * m * 8
 
     @staticmethod
     def with_max_at(rng, shape, columns):
@@ -566,6 +602,26 @@ def record_blends(monkeypatch) -> list:
     return rows
 
 
+def record_candidates(monkeypatch) -> list:
+    """Per block the candidate prefilter tries, its candidate cells, or None past its limit."""
+    tried = []
+    candidates = ens._candidates
+
+    def recorded(*args):
+        cells = candidates(*args)
+        tried.append(cells)
+        return cells
+
+    monkeypatch.setattr(ens, "_candidates", recorded)
+    return tried
+
+
+def block_heights(n: int, m: int, k: int) -> list:
+    """The heights of the sweep's row blocks over an n x m matrix at Recall@k."""
+    rows = (_BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS) // m
+    return [min(rows, n - lo) for lo in range(0, n, rows)]
+
+
 class TestZeroAccumulator:
     """A block whose rows of s are all +-0, as at the first fusion step.
 
@@ -822,6 +878,185 @@ class TestAnchorPruning:
         for w in grid:
             assert np.array_equal(reranked_at(queries, w), near if w in (0.0, 0.5, 0.8, 0.95) else undecided)
         assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m, undecided)
+
+
+def fusion_steps(mats, gt: GroundTruth, k: int) -> list:
+    """The (accumulator, normalized model) pair each step of a default-grid fusion sweeps."""
+    s, steps = np.zeros_like(mats[0]), []
+    for x in mats:
+        t = minmax_normalize(x)
+        steps.append((s.copy(), t))
+        w, _ = sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
+        s = w * s + (1.0 - w) * t
+    return steps
+
+
+def prefilter_floor(s, t, gt: GroundTruth, grid) -> np.ndarray:
+    """Each row's lowest best relevant blend over ``grid``, less the prefilter's margin."""
+    v = np.array(
+        [min(max(w * s[q, j] + (1.0 - w) * t[q, j] for j in rel) for w in grid) for q, rel in enumerate(gt.relevant)]
+    )
+    return v - (ens._FLOOR_REL * np.abs(v) + ens._FLOOR_ABS)
+
+
+class TestCandidatePrefilter:
+    """Blocks with few cells that can reach a row's best relevant blend are ranked from those alone.
+
+    A cell can count in a rank only if ``max(s, t)`` reaches its row's
+    lowest best relevant blend over the grid, less a rounding margin. Every
+    case is checked against the per-point ``query_ranks`` sweep and a
+    stable-sort rank; the structure is watched through the prefilter, the
+    band count, the float64 rank kernel and the block path's blends.
+    """
+
+    GRIDS = [
+        DEFAULT_WEIGHT_GRID,
+        DEFAULT_WEIGHT_GRID + (1.0,),
+        tuple(np.linspace(0.0, 1.0, 21)),
+        (0.0, 0.1, 0.11, 0.12, 0.5, 0.51, 0.52, 0.7, 0.99, 1.0),
+        (1e-300, 0.3),
+    ]
+    KS = (1, 2, 5, 10)
+
+    @staticmethod
+    def record_row_blends(monkeypatch) -> list:
+        """Per float64 blend of whole rows at one weight, the block path's, its row count."""
+        rows = []
+        blend = ens._blend
+
+        def recorded(w, s, t, *args, **kwargs):
+            if np.ndim(w) == 0 and np.ndim(s) == 2:
+                rows.append(len(s))
+            return blend(w, s, t, *args, **kwargs)
+
+        monkeypatch.setattr(ens, "_blend", recorded)
+        return rows
+
+    def check(self, s, t, gt, monkeypatch, ks=KS, grids=GRIDS):
+        """check_sweep at every k and grid, with the prefilter taking most blocks."""
+        tried = record_candidates(monkeypatch)
+        for k in ks:
+            check_sweep(s, t, gt, k, grids)
+        monkeypatch.undo()
+        taken = sum(cells is not None for cells in tried)
+        assert taken > len(tried) / 2
+
+    def test_separated_inputs_match_per_point_sweep(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        n, m = 64, 1000
+        mats, gt = separated(rng, n, m, (4.0, 3.5, 3.0))
+        norm = [minmax_normalize(x) for x in mats]
+        # A later step's accumulator and model, normalized and raw.
+        for s, t in ((0.5 * norm[0] + 0.5 * norm[1], norm[2]), (mats[0] + mats[1], mats[2])):
+            self.check(s, t, gt, monkeypatch)
+
+    def test_cells_one_step_either_side_of_the_floor(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        # One block at every k.
+        n, m = 30, 1000
+        (s, t), gt = separated(rng, n, m, (6.0, 6.0))
+        floor = prefilter_floor(s, t, gt, DEFAULT_WEIGHT_GRID)
+        # Three items per row outside its relevant set, flat at its floor,
+        # one float64 step above it and one below.
+        cols = np.stack([rng.choice(np.setdiff1d(np.arange(m), list(rel)), 3, replace=False) for rel in gt.relevant])
+        rows = np.arange(n)
+        for c, x in zip(cols.T, (floor, np.nextafter(floor, np.inf), np.nextafter(floor, -np.inf))):
+            s[rows, c] = t[rows, c] = x
+        self.check(s, t, gt, monkeypatch)
+        tried = record_candidates(monkeypatch)
+        _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, 1)
+        taken = np.zeros((n, m), bool)
+        taken.flat[tried[0]] = True
+        assert taken[rows, cols[:, 0]].all() and taken[rows, cols[:, 1]].all()
+        assert not taken[rows, cols[:, 2]].any()
+
+    def test_cell_below_the_floor_of_no_margin_rounds_onto_the_best_relevant_blend(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        n, m = 96, 1000
+        grid = DEFAULT_WEIGHT_GRID
+        w = np.array(grid)[:, None]
+        # Flat relevant scores b whose lowest blend over the grid is b itself,
+        # and for which some grid weight rounds the blend of a = b less one
+        # float64 step up onto b's: with no margin under b, a would be
+        # dropped although it ties the relevant item there.
+        pool = 1.0 + rng.random(20 * n)
+        a = np.nextafter(pool, -np.inf)
+        blend_b, blend_a = w * pool + (1.0 - w) * pool, w * a + (1.0 - w) * a
+        b = pool[(blend_b.min(axis=0) == pool) & (blend_a >= blend_b).any(axis=0)][:n]
+        assert len(b) == n
+        s, t = 0.5 * rng.random((n, m)), 0.5 * rng.random((n, m))
+        rows, r = np.arange(n), rng.integers(1, m, n)
+        # The competitor sits below the relevant item: a tie is a k = 1 miss.
+        j = rng.integers(0, r)
+        s[rows, r] = t[rows, r] = b
+        s[rows, j] = t[rows, j] = np.nextafter(b, -np.inf)
+        gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
+        self.check(s, t, gt, monkeypatch, ks=(1, 2), grids=[grid])
+        assert min(_sweep_values(s, t, gt, grid, 1)) < 1.0
+
+    def test_lower_index_twin_ties_the_best_relevant_blend(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        n, m = 64, 1000
+        s, t = rng.standard_normal((2, n, m))
+        # One relevant item per row, far above the rest, and a twin with its
+        # scores below it (a k = 1 miss at every weight) or above it (a hit).
+        r = rng.integers(1, m - 1, n)
+        lower = rng.random(n) < 0.5
+        twin = np.where(lower, rng.integers(0, r), rng.integers(r + 1, m))
+        rows = np.arange(n)
+        s[rows, r] += 8.0
+        t[rows, r] += 8.0
+        s[rows, twin], t[rows, twin] = s[rows, r], t[rows, r]
+        gt = GroundTruth(relevant=tuple({int(i)} for i in r), gallery_size=m)
+        self.check(s, t, gt, monkeypatch)
+        for grid in self.GRIDS:
+            assert _sweep_values(s, t, gt, grid, 1) == [np.count_nonzero(~lower) / n] * len(grid)
+            assert _sweep_values(s, t, gt, grid, 2) == [1.0] * len(grid)
+
+    def test_negative_and_scaled_rows(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        n, m = 64, 1000
+        mats, gt = separated(rng, n, m, (4.0, 3.5, 3.0))
+        s, t = mats[0] + mats[1], mats[2]
+        # Every row below zero, some also scaled far up or down.
+        scale = rng.choice([1e-300, 1.0, 1e300], n)[:, None]
+        for x in (s, t):
+            x -= 20.0
+        self.check(s, t, gt, monkeypatch)
+        self.check(s * scale, t * scale, gt, monkeypatch)
+
+    def test_separated_steps_rank_no_block_in_full(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        n, m = 128, 1024
+        mats, gt = separated(rng, n, m, (4.0, 3.5, 3.0, 2.5))
+        for k in (1, 5):
+            # Steps 2-4: every block is ranked from its candidates alone.
+            for s, t in fusion_steps(mats, gt, k)[1:]:
+                tried = record_candidates(monkeypatch)
+                blended = self.record_row_blends(monkeypatch)
+                counted = record_band_counts(monkeypatch)
+                reranked = record_reranks(monkeypatch)
+                _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, k)
+                monkeypatch.undo()
+                assert len(tried) == len(block_heights(n, m, k))
+                assert all(cells is not None for cells in tried)
+                assert not blended and not counted and not reranked
+
+    def test_fuse_like_steps_try_one_block(self, monkeypatch):
+        n = 600
+        cfg = SynthConfig(n_items=n, n_models=4, model_skill=(0.6, 0.5, 0.4, 0.3), seed=7)
+        mats = [x.data for x in gen_model_scores(cfg)]
+        gt = GroundTruth.identity(n)
+        for k in (1, 5):
+            steps = fusion_steps(mats, gt, k)
+            for i, (s, t) in enumerate(steps):
+                tried = record_candidates(monkeypatch)
+                _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, k)
+                monkeypatch.undo()
+                # The first step's all-zero blocks are ranked once for the
+                # whole grid; at each later step the first block has too
+                # many candidates and ends the prefilter.
+                assert tried == ([] if i == 0 else [None])
 
 
 class TestIterativeEnsemble:
@@ -1101,12 +1336,16 @@ class TestPinnedBytes:
         "continuous": "a5cc35ed34837286e6301818f3c00e9c6668d8d70c1e7d620c628d8606442a34",
         "tie_heavy": "b9ff9ea04e4c0affecd2cfe214ea5eb5ed3132c4f459e9a6d44859bd25ce11f6",
         "multi": "69b0269209d5cd62f8d36891e066c8b560bfe71ddcec58433b1f7d1f474cc5f8",
+        "separated": "99b5a7ae61611a4dc2e9f46a9c07733f9a3d9a967e8cfe8aff1e8a020a247998",
     }
 
     @staticmethod
     def inputs(kind):
         rng = np.random.default_rng(51)
         n, m = 70, 1000
+        if kind == "separated":
+            mats, gt = separated(rng, n, m, (3.0, 2.6, 2.3, 2.0))
+            return mats[:3], mats[3], gt
         if kind == "tie_heavy":
             mats = [tie_heavy(rng, (n, m), levels) for levels in (3, 4, 5)]
             init = tie_heavy(rng, (n, m), 4)
