@@ -18,11 +18,15 @@ this: an all-zero block of rows is ranked once per step, with a band
 around each row's best relevant score that bounds that rounding, and only
 rows with a second score in the band are ranked again at each w.
 
-The sweep is one walk over blocks of rows for every k, each block ranked
-at every w into one array of ranks. k chooses only the block height, the
-float32 filter that ranks most rows at k > 1, and how the rows left
-undecided are ranked in float64: by an ``argmax`` hit test at k = 1 and
-by an exact rank count at k > 1.
+The sweep is one walk over blocks of rows for every k, into one array of
+ranks, and one ranker for every row set it ranks: a block of the walk, or
+the rows gathered after it. The ranker takes each weight's first rule that
+holds: the zero shortcut, then, at a block only, deferring a weight between
+two anchors (below), then the float32 filter, and float64 for the rows any
+of these leave. k chooses only the block height, whether the float32
+filter runs (k > 1), and how float64 ranks: by an ``argmax`` hit test at
+k = 1 and by an exact rank count at k > 1. Every row of s and t the sweep
+reads, it reads through one place.
 
 Before either, at every k, a candidate prefilter bounds what can count.
 A blend ``w*s_j + (1-w)*t_j`` never exceeds ``max(s_j, t_j)``, so only
@@ -43,7 +47,8 @@ the filter proved at the two: k items above the best relevant score at
 both make it a miss, and at most k items not below the lead relevant score
 at either make it a hit. Only the other rows, a few percent of them inside
 the default grid's dense tail, are ranked at the weights between: gathered
-from every block once the walk is done, and ranked like one more block.
+from every block once the walk is done, and given to the same ranker, at
+most a block's height at a time, which judges them by their own magnitudes.
 """
 
 from __future__ import annotations
@@ -384,46 +389,53 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     The best relevant scores come from the (query, item) pairs alone, once
     for the whole grid. The rows are then walked in blocks, each ranked at
     every w while its rows of s and t are still in cache, into one array of
-    ranks whose hits, ``ranks < k``, are counted per w at the end. A
-    block's ranks at one w come from the first of these that applies:
+    ranks whose hits, ``ranks < k``, are counted per w at the end. Every
+    read of rows of s and t, by the walk, the ranker and the prefilter's
+    runs, goes through one reader.
 
-    - A block whose rows of s are all +-0 (the first fusion step) is ranked
-      once for the whole grid by :func:`_zero_ranks`: at every w < 1 within
-      the float32 bounds, its rows rank as in t itself.
-    - A block whose cells with ``max(s, t)`` at or above its row's floor
-      (its lowest best relevant blend over the grid, less a rounding margin;
-      see ``_FLOOR_REL``) are at most 1/16 of its cells is ranked from
-      those cells alone (:func:`_candidates`): no other cell can count in a
-      rank at any w. The blocks are gathered, and once the walk is done
-      ranked at every w in runs of at most a block's cells
-      (:func:`_cell_ranks`) by the exact rule of
-      :func:`rankfuse.metrics._count_ranks`. This is tried block by block
-      until a block has more candidates, and then not again at this call.
-    - At k > 1, a weight between two anchors (:func:`_anchors`) where the
-      float32 filter below runs is ranked by what the filter proved at the
-      two (:func:`_undecided`): a row with k entries proven above its best
-      relevant score at both anchors misses at every w between them, and
-      one with at most k entries not proven below its lead relevant score
-      at either anchor hits (see ``_GUARD``). The rows it leaves undecided
-      are gathered from every block once the walk is done and ranked at
-      those weights like one more block.
-    - At k > 1, a block within the float32 bounds is copied to float32
-      once, less each row's lead (first) relevant score, blended at every w,
-      at half the bytes, and less each row's offset from that lead to its
-      best relevant blend. Its entries above a guard band that bounds the
-      rounding error are counted by :func:`rankfuse.metrics._band_ranks`.
-      At an anchor the filter also keeps the masks the rows between anchors
-      are decided by.
-    - Otherwise the block is blended in float64 at that w.
+    Until a block has more, a block whose cells with ``max(s, t)`` at or
+    above its row's floor (its lowest best relevant blend over the grid,
+    less a rounding margin; see ``_FLOOR_REL``) are at most 1/16 of its
+    cells is set aside (:func:`_candidates`): no other cell can count in a
+    rank at any w. Once the walk is done, those blocks are ranked at every
+    w in runs of at most a block's cells (:func:`_cell_ranks`) by the exact
+    rule of :func:`rankfuse.metrics._count_ranks`.
 
-    Either band count also finds the rows with a second entry in its band,
-    and those rows alone are blended in float64 at that w. A blend is
-    ranked exactly: at k = 1 by its rows' ``argmax``, the lowest index of
-    each row's maximum, which is a hit (rank 0) exactly when it is the
-    row's lowest best relevant item, and at k > 1 by
-    :func:`rankfuse.metrics._count_ranks`. A block at k = 1 has half the
-    cells of one at k > 1, whose float32 copies have the bytes of a float64
-    block.
+    Every other block goes to one ranker, which ranks a row set, a block or
+    at most a block's height of gathered rows, at a list of weights. At each
+    weight it applies the first of these rules that holds:
+
+    1. A block whose rows of s are all +-0 (the first fusion step) has been
+       ranked once for the whole grid by :func:`_zero_ranks`: at every
+       w < 1 within the float32 bounds, its rows rank as in t itself.
+    2. At a block of the walk only, at k > 1, a weight between two anchors
+       (:func:`_anchors`) where the float32 filter runs at both is left to
+       the rows those two leave undecided (:func:`_undecided`): a row with
+       k entries proven above its best relevant score at both anchors
+       misses at every w between them, and one with at most k entries not
+       proven below its lead relevant score at either anchor hits (see
+       ``_GUARD``). The undecided rows are gathered from every block once
+       the walk is done and given to the ranker at those weights, which
+       judges the float32 bounds on their own magnitudes.
+    3. At k > 1, within the float32 bounds, the float32 filter: the row set
+       is copied to float32 once, less each row's lead (first) relevant
+       score, blended at every w, at half the bytes, and less each row's
+       offset from that lead to its best relevant blend. Its entries above
+       a guard band that bounds the rounding error are counted by
+       :func:`rankfuse.metrics._band_ranks`. At an anchor the filter also
+       keeps the masks that the rows between anchors are decided by, and
+       at the second anchor of a pair it finds the undecided rows.
+    4. Otherwise the rows are blended in float64 at that w.
+
+    Rules 1 and 3 also find the rows with a second entry in their band, and
+    those rows alone go on to rule 4. A float64 blend is ranked exactly: at
+    k = 1 by its rows' ``argmax``, the lowest index of each row's maximum,
+    which is a hit (rank 0) exactly when it is the row's lowest best
+    relevant item, and at k > 1 by :func:`rankfuse.metrics._count_ranks`. A
+    block at k = 1 has half the cells of one at k > 1, whose float32 copies
+    have the bytes of a float64 block. The float32 buffers and the proof
+    masks are made when a row set first reaches the filter, so a sweep that
+    the zero shortcut or the prefilter takes whole never makes them.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
@@ -431,16 +443,16 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     vals = _blend(np.array(weights)[:, None], sp, tp)
     best, first = _best_relevant(vals, gt)
     # Each row's floor under its lowest best relevant blend (see _FLOOR_REL).
-    v_lo = best.min(axis=0)
-    floor = v_lo - (_FLOOR_REL * np.abs(v_lo) + _FLOOR_ABS)
+    floor = best.min(axis=0)
+    floor -= _FLOOR_REL * np.abs(floor) + _FLOOR_ABS
     floor[np.isnan(floor)] = -np.inf
     # From t alone, for the blocks whose rows of s are all zero; query q's
     # pairs are sp[ends[q]:ends[q + 1]].
     t_best = _best_relevant(tp, gt)[0]
     ends = np.append(gt._starts, len(sp))
     # Each weight between two anchors, mapped to the two, and the second
-    # anchor of each such pair, mapped to the first.
-    anchors = _anchors(weights)
+    # anchor of each such pair, mapped to the first; only k > 1 has anchors.
+    anchors = _anchors(weights) if k > 1 else []
     between = {i: (a, b) for a, b in zip(anchors, anchors[1:]) for i in range(a + 1, b)}
     closes = {b: a for a, b in between.values()}
     rows = _block_rows(t.shape, _BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS)
@@ -450,90 +462,99 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
     above, sure = np.empty(rows, ranks.dtype), np.empty(rows, ranks.dtype)
     if k > 1:
-        ds, dt, x32, part32 = (np.empty((rows, m), np.float32) for _ in range(4))
         lead = gt._starts
         s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
-        # The proof masks of two anchors that bound weights, consecutive
-        # anchors taking turns.
-        slots = [(np.empty((rows, m), bool), np.empty((rows, m), bool)) for _ in range(2)]
-        slot = {a: slots[j % 2] for j, a in enumerate(anchors) if {a - 1, a + 1} & between.keys()}
-
-    def exact(i, q):
-        """Rank the rows ``q``, at most a block's height, at ``weights[i]`` in float64."""
-        sq = s[q]
-        c = len(sq)
-        if c:
-            a = _blend(weights[i], sq, t[q], out=blend[:c], part=part[:c])
-            ranks[i, q] = np.argmax(a, axis=1) != first[i, q] if k == 1 else _count_ranks(a, best[i, q], first[i, q])
-
+    # The proof masks of two anchors that bound weights, consecutive anchors
+    # taking turns, after the four float32 buffers; all made on first use.
+    turn = {a: 4 + j % 2 for j, a in enumerate(anchors) if {a - 1, a + 1} & between.keys()}
+    scratch = []
     # Per anchor pair, the rows it leaves undecided, block by block, and the
     # blocks the candidate prefilter takes, as (lo, hi, candidate cells).
     undecided, gathered = {}, []
+
+    def read(q):
+        """The rows ``q`` of s and t: the one read of rows in the sweep."""
+        return s[q], t[q]
+
+    def at(q, j):
+        """The rows at positions ``j`` of the row set ``q``."""
+        return q[j] if isinstance(q, np.ndarray) else q.start + j
+
+    def rank(q, sq, tq, indices, zero=None, walk=False):
+        """Rank the rows ``q`` of s and t, ``sq`` and ``tq``, at ``weights[i]`` for each i in ``indices``.
+
+        ``q`` is a walk block's slice, with ``zero`` its :func:`_zero_ranks`,
+        or at most a block's height of gathered rows. Only a block of the
+        walk, marked by ``walk``, leaves weights between two anchors to the
+        rows they leave undecided.
+        """
+        r = len(sq)
+        fits = k > 1 and not zero
+        if fits:
+            s_max, t_max = _magnitude(sq), _magnitude(tq)
+            fits = max(s_max, t_max) <= _F32_MAX
+        if fits:
+            if not scratch:
+                scratch.extend(np.empty((rows, m), np.float32) for _ in range(4))
+                scratch.extend(np.empty((2, rows, m), bool) for _ in range(2))
+            ds, dt, x32, part32 = (b[:r] for b in scratch[:4])
+            # Differences of at most 2**101: finite in float64 and in float32.
+            np.subtract(sq, s_lead[q, None], out=ds)
+            np.subtract(tq, t_lead[q, None], out=dt)
+            off = (best[:, q] - vals_lead[:, q]).astype(np.float32)
+        # The float32 filter's guard band at each weight, or False.
+        guards = [fits and _guard(w, s_max, t_max) for w in weights]
+        for i in indices:
+            rest, pair = q, walk and between.get(i)
+            if zero and (1.0 - weights[i]) * zero[0] >= _F32_MIN:
+                ranks[i, q] = above[:r]
+                rest = at(q, zero[1])
+            elif pair and guards[pair[0]] and guards[pair[1]]:
+                # Ranked with its pair's undecided rows, after the walk.
+                continue
+            elif g := guards[i]:
+                proof = i in turn and tuple(scratch[turn[i]][:, :r])
+                band = _filter_ranks(ds, dt, off[i], weights[i], g, x32, part32, mask[:r], above[:r], proof)
+                ranks[i, q], rest = above[:r], at(q, band)
+                a = closes.get(i)
+                if a is not None and guards[a]:
+                    und = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, mask[:r], sure[:r])
+                    ranks[a + 1 : i, q] = sure[:r]
+                    undecided.setdefault((a, i), []).append(at(q, und))
+            # Float64 on the rows left, if any: a row set is never empty.
+            if rest is q or len(rest):
+                sr, tr = read(rest)
+                c = len(sr)
+                x, f = _blend(weights[i], sr, tr, out=blend[:c], part=part[:c]), first[i, rest]
+                ranks[i, rest] = np.argmax(x, axis=1) != f if k == 1 else _count_ranks(x, best[i, rest], f)
+
     sparse = True
     for lo, hi in _row_blocks(n, rows):
-        r, sb, tb = hi - lo, s[lo:hi], t[lo:hi]
-        zero = _zero_ranks(sb, tb, sp[ends[lo] : ends[hi]], t_best[lo:hi], mask[:r], above[:r])
+        q, r = slice(lo, hi), hi - lo
+        sb, tb = read(q)
+        zero = _zero_ranks(sb, tb, sp[ends[lo] : ends[hi]], t_best[q], mask[:r], above[:r])
         if sparse and not zero:
             # The first block with too many candidates ends the prefilter.
-            cells = _candidates(sb, tb, floor[lo:hi], blend[:r], mask[:r])
+            cells = _candidates(sb, tb, floor[q], blend[:r], mask[:r])
             sparse = cells is not None
             if sparse:
                 gathered.append((lo, hi, cells))
                 continue
-        fits = k > 1 and not zero
-        if fits:
-            s_max, t_max = _magnitude(sb), _magnitude(tb)
-            fits = max(s_max, t_max) <= _F32_MAX
-        if fits:
-            # Differences of at most 2**101: finite in float64 and in float32.
-            np.subtract(sb, s_lead[lo:hi, None], out=ds[:r])
-            np.subtract(tb, t_lead[lo:hi, None], out=dt[:r])
-            off = (best[:, lo:hi] - vals_lead[:, lo:hi]).astype(np.float32)
-        # The float32 filter's guard band at each weight, or False.
-        guards = [fits and _guard(w, s_max, t_max) for w in weights]
-        for i, wi in enumerate(weights):
-            q = slice(lo, hi)
-            pair = between.get(i)
-            if zero and (1.0 - wi) * zero[0] >= _F32_MIN:
-                ranks[i, q] = above[:r]
-                q = lo + zero[1]
-            elif pair and guards[pair[0]] and guards[pair[1]]:
-                # Ranked with its pair's undecided rows, after the block walk.
-                continue
-            elif g := guards[i]:
-                proof = i in slot and tuple(b[:r] for b in slot[i])
-                out = ranks[i, q]
-                q = lo + _filter_ranks(ds[:r], dt[:r], off[i], wi, g, x32[:r], part32[:r], mask[:r], out, proof)
-                a = closes.get(i)
-                if a is not None and guards[a]:
-                    und = _undecided(tuple(b[:r] for b in slot[a]), proof, k, mask[:r], sure[:r])
-                    ranks[a + 1 : i, lo:hi] = sure[:r]
-                    undecided.setdefault((a, i), []).append(lo + und)
-            exact(i, q)
+        rank(q, sb, tb, range(len(weights)), zero, walk=True)
     # The rows two anchors left undecided, gathered from every block and
-    # ranked at the weights between the two like a block of their own.
+    # ranked at the weights between the two, a block's height at a time.
     for (a, b), parts in undecided.items():
         und = np.concatenate(parts)
         for lo in range(0, len(und), rows):
             q = und[lo : lo + rows]
-            c, sq, tq = len(q), s[q], t[q]
-            s_max, t_max = _magnitude(sq), _magnitude(tq)
-            np.subtract(sq, s_lead[q, None], out=ds[:c])
-            np.subtract(tq, t_lead[q, None], out=dt[:c])
-            for i in range(a + 1, b):
-                rest = q
-                if g := _guard(weights[i], s_max, t_max):
-                    off = (best[i, q] - vals_lead[i, q]).astype(np.float32)
-                    rest = q[_filter_ranks(ds[:c], dt[:c], off, weights[i], g, x32[:c], part32[:c], mask[:c], above[:c])]
-                    ranks[i, q] = above[:c]
-                exact(i, rest)
+            rank(q, *read(q), range(a + 1, b))
     # The blocks the prefilter took, ranked at every weight from their
     # candidate cells, a run of consecutive blocks of at most a block's
     # cells at a time.
     flat = blend.reshape(-1), part.reshape(-1), mask.reshape(-1)
     for lo, hi, cells in _runs(gathered, m, blend.size):
         q = slice(lo, hi)
-        _cell_ranks(s[q], t[q], cells, weights, best[:, q], first[:, q], ranks[:, q], *flat)
+        _cell_ranks(*read(q), cells, weights, best[:, q], first[:, q], ranks[:, q], *flat)
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 

@@ -21,6 +21,9 @@ from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix
 from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
 from rankfuse.synth import SynthConfig, gen_model_scores
 
+import sweep_cases
+from sweep_cases import check_sweep, prefilter_floor, separated, stable_sort_ranks, tie_heavy
+
 
 def complementary_pair():
     """Two 4x4 models, each answering a disjoint half of the queries.
@@ -136,59 +139,6 @@ class TestSweepWeight:
                 sweep_weight(x, x, GroundTruth.identity(3), WeightGrid((0.5,)))
 
 
-def stable_sort_ranks(fused: np.ndarray, gt: GroundTruth) -> list:
-    """Each query's best relevant position under a stable descending sort."""
-    order = np.argsort(-fused, axis=1, kind="stable")
-    position = np.empty_like(order)
-    np.put_along_axis(position, order, np.arange(fused.shape[1])[None, :], axis=1)
-    return [min(position[q, j] for j in rel) for q, rel in enumerate(gt.relevant)]
-
-
-def stable_sort_recall(fused: np.ndarray, gt: GroundTruth, k: int) -> float:
-    """Recall@k from each relevant item's position under a stable descending sort."""
-    return sum(r < k for r in stable_sort_ranks(fused, gt)) / fused.shape[0]
-
-
-def check_sweep(s, t, gt, k, grids):
-    """The sweep's values and choice against a per-point sweep and a stable-sort rank."""
-    for grid in grids:
-        values = _sweep_values(s, t, gt, grid, k)
-        per_point = [
-            int(np.count_nonzero(query_ranks(w * s + (1.0 - w) * t, gt) < k)) / s.shape[0]
-            for w in grid
-        ]
-        assert values == per_point
-        assert values == [stable_sort_recall(w * s + (1.0 - w) * t, gt, k) for w in grid]
-        best_i = max(range(len(grid)), key=lambda i: (per_point[i], -i))
-        # Plain arrays and ScoreMatrix inputs choose alike.
-        for pair in ((s, t), (ScoreMatrix(s), ScoreMatrix(t))):
-            chosen = sweep_weight(*pair, gt, WeightGrid(grid), RecallAtK(k))
-            assert chosen == (grid[best_i], per_point[best_i])
-
-
-def tie_heavy(rng, shape, levels):
-    """Scores on ``levels`` values in [0, 1], with a share of the zeros stored as -0.0."""
-    data = rng.integers(0, levels, shape) / (levels - 1)
-    data[(data == 0.0) & (rng.random(shape) < 0.5)] = -0.0
-    return data
-
-
-def separated(rng, n, m, effects):
-    """One model per effect: standard normal scores, each row's 1-4 relevant items shifted up by it.
-
-    Like a person-ID search, every blend leaves few cells near a row's best
-    relevant score. Returns the models and their ground truth.
-    """
-    relevant = tuple(rng.choice(m, size=int(rng.integers(1, 5)), replace=False) for _ in range(n))
-    rows, items = np.repeat(np.arange(n), [len(r) for r in relevant]), np.concatenate(relevant)
-    mats = []
-    for effect in effects:
-        x = rng.standard_normal((n, m))
-        x[rows, items] += effect
-        mats.append(x)
-    return mats, GroundTruth(relevant=relevant, gallery_size=m)
-
-
 class TestBlockedSweep:
     """The row-block sweep against a per-point sweep and a stable-sort rank."""
 
@@ -228,33 +178,45 @@ class TestBlockedSweep:
         for s in (rng.random((n, m)), np.zeros((n, m))):
             self.check(s, t, gt, 5)
 
-    def test_peak_memory_below_one_full_matrix(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        n = m = 1000
-        gt = GroundTruth.identity(n)
-        # Every row of the second pair has 62 candidates for the prefilter
-        # (see TestCandidatePrefilter): its relevant item at 0.5 and 61 items
-        # above it, the rest below 0.4. That is just under the limit of 1/16
-        # of a block's cells, 62.5 per row of 1000, so every block is ranked
-        # from its gathered candidates.
+    @staticmethod
+    def near_limit(rng, n, m):
+        """Two n x m models whose every row has 62 candidates for the prefilter.
+
+        Each row has its relevant item (identity truth) at 0.5 and 61 items
+        above it, the rest below 0.4 (see TestCandidatePrefilter). That is
+        just under the limit of 1/16 of a block's cells, 62.5 per row of
+        1000, so every block is ranked from its gathered candidates.
+        """
         above = np.stack([rng.choice(np.setdiff1d(np.arange(m), [q]), 61, replace=False) for q in range(n)])
-        near_limit = []
+        models = []
         for _ in range(2):
             x = 0.4 * rng.random((n, m))
             x[np.arange(n)[:, None], above] = 0.6 + 0.4 * rng.random((n, 61))
             np.fill_diagonal(x, 0.5)
-            near_limit.append(ScoreMatrix(x))
+            models.append(ScoreMatrix(x))
+        return models
+
+    @staticmethod
+    def traced_peak(s, t, gt, k) -> int:
+        """The traced peak, in bytes, of one default-grid ``sweep_weight`` at Recall@k."""
+        tracemalloc.start()
+        try:
+            sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_below_one_full_matrix(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        n = m = 1000
+        gt = GroundTruth.identity(n)
+        near_limit = self.near_limit(rng, n, m)
         random = [ScoreMatrix(rng.random((n, m))) for _ in range(2)]
         for (s, t), sparse in ((random, False), (near_limit, True)):
             # k = 1 takes the argmax hit test, k = 5 the rank count.
             for k in (1, 5):
                 tried = record_candidates(monkeypatch)
-                tracemalloc.start()
-                try:
-                    sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                peak = self.traced_peak(s, t, gt, k)
                 monkeypatch.undo()
                 # The prefilter stops at the first random block and takes
                 # every near-limit one.
@@ -262,6 +224,35 @@ class TestBlockedSweep:
                 assert counts == ([62 * r for r in block_heights(n, m, k)] if sparse else [None])
                 # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
                 assert peak < n * m * 8
+
+    def test_no_float32_scratch_at_r5_where_no_block_reaches_the_filter(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        n = m = 1000
+        gt = GroundTruth.identity(n)
+        t = ScoreMatrix(rng.random((n, m)))
+        # An all-zero accumulator takes the zero shortcut in every block, and
+        # the near-limit pair the prefilter; neither runs the float32 filter,
+        # whose scratch at R@5 (four float32 buffers and two pairs of bool
+        # masks of a block, 20 bytes a cell: 1.3 MB here) it must not make.
+        rows5 = block_heights(n, m, 5)[0]
+        run_cells = (rows5 - block_heights(n, m, 1)[0]) * m
+        cases = [
+            ((ScoreMatrix(np.zeros((n, m))), t), 0),
+            # The prefilter ranks runs of up to a block's cells, and a run at
+            # R@5 holds run_cells more than at R@1, each with a flat index,
+            # a row and a column index and its s and t values: 40 bytes.
+            (self.near_limit(rng, n, m), 40 * run_cells),
+        ]
+        filter_ranks = ens._filter_ranks
+        for (s, t), slack in cases:
+            filtered = []
+            monkeypatch.setattr(ens, "_filter_ranks", lambda *args: filtered.append(args) or filter_ranks(*args))
+            peak1, peak5 = (self.traced_peak(s, t, gt, k) for k in (1, 5))
+            monkeypatch.undo()
+            assert not filtered
+            # The R@1 peak, plus an R@5 block of float64 blend and scratch and
+            # a bool mask, 17 bytes a cell.
+            assert peak5 < peak1 + 17 * rows5 * m + slack
 
     @staticmethod
     def with_max_at(rng, shape, columns):
@@ -880,6 +871,37 @@ class TestAnchorPruning:
         assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m, undecided)
 
 
+    def test_gathered_rows_past_the_float32_range_take_float64(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        n, m, k = 150, 1000, 5
+        grid = DEFAULT_WEIGHT_GRID
+        # Each relevant item scores 0.5 in s and t and every other item
+        # clears it by 0.1, most of them above: a miss at every w, decided
+        # at the anchors. Every fifth row is random and scaled by 1e-32
+        # instead, its relevant item near the top. In a block of O(1) rows the anchors' guard bands hold,
+        # and they hold all of a tiny row in the band, so the tiny rows are
+        # left undecided between 0.8 and 0.95. Gathered alone, their
+        # magnitudes fall below the float32 filter's range (2**-100, about
+        # 7.9e-31), so they are ranked in float64 at all six weights between.
+        side = rng.random((n, m)) < 0.5
+        s = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        t = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
+        rows = np.arange(n)
+        s[rows, rows] = t[rows, rows] = 0.5
+        tiny = rows[::5]
+        s[tiny], t[tiny] = 1e-32 * rng.random((2, len(tiny), m))
+        s[tiny, tiny], t[tiny, tiny] = 1e-32 * rng.uniform(0.99, 1.0, (2, len(tiny)))
+        gt = GroundTruth(relevant=tuple({i} for i in range(n)), gallery_size=m)
+        check_sweep(s, t, gt, k, [grid])
+        assert 0.0 < min(_sweep_values(s, t, gt, grid, k))
+        queries = record_reranks(monkeypatch)
+        _sweep_values(s, t, gt, grid, k)
+        # The anchors rank the tiny rows in float64 as band rows, and every
+        # weight between them ranks the gathered tiny rows in float64 too.
+        for w in grid:
+            assert np.array_equal(reranked_at(queries, w), tiny)
+
+
 def fusion_steps(mats, gt: GroundTruth, k: int) -> list:
     """The (accumulator, normalized model) pair each step of a default-grid fusion sweeps."""
     s, steps = np.zeros_like(mats[0]), []
@@ -889,14 +911,6 @@ def fusion_steps(mats, gt: GroundTruth, k: int) -> list:
         w, _ = sweep_weight(s, t, gt, WeightGrid(), RecallAtK(k))
         s = w * s + (1.0 - w) * t
     return steps
-
-
-def prefilter_floor(s, t, gt: GroundTruth, grid) -> np.ndarray:
-    """Each row's lowest best relevant blend over ``grid``, less the prefilter's margin."""
-    v = np.array(
-        [min(max(w * s[q, j] + (1.0 - w) * t[q, j] for j in rel) for w in grid) for q, rel in enumerate(gt.relevant)]
-    )
-    return v - (ens._FLOOR_REL * np.abs(v) + ens._FLOOR_ABS)
 
 
 class TestCandidatePrefilter:
@@ -1057,6 +1071,69 @@ class TestCandidatePrefilter:
                 # whole grid; at each later step the first block has too
                 # many candidates and ends the prefilter.
                 assert tried == ([] if i == 0 else [None])
+
+
+class TestSweepCorpus:
+    """A fixed slice of the differential corpus in ``sweep_cases`` against ``check_sweep``.
+
+    Each case is checked at the grids and cutoffs listed for it, chosen so
+    that every shortcut's known mutations fail here: a zero guard band, a
+    prefilter floor without its margin, and ``_undecided`` taking a miss at
+    k - 1 or a hit at k + 1 entries; and so that a gathered row set that
+    deferred its own weights between anchors would fail too. About 5 s.
+    """
+
+    SLICE = {
+        "continuous": [("default", 2), ("linspace21", 10)],
+        "quantised": [("default+1", 5), ("irregular", 1), ("single", 1)],
+        "twins": [("irregular", 2), ("default", 10)],
+        "zero_twins": [("default", 1), ("linspace21", 2)],
+        "zero_negative": [("default", 3), ("tiny", 1)],
+        "one_cell": [("default", 1), ("default+1", 2)],
+        "mixed_sign": [("default", 2), ("irregular", 5)],
+        "scaled_1e-300": [("default", 5)],
+        "scaled_1e-200": [("default+1", 2)],
+        "scaled_1e-30": [("default", 3)],
+        "scaled_1e+30": [("irregular", 10)],
+        "scaled_1e+200": [("tiny", 2)],
+        "scaled_1e+300": [("default", 1)],
+        "separated": [("default", 1), ("linspace21", 5)],
+        "separated_negative": [("irregular", 2)],
+        "separated_then_walk": [("default", 1), ("default", 5)],
+        "at_floor": [("default", 2)],
+        "below_floor": [("default", 1)],
+        "crossing": [("default", 3), ("tiny", 2)],
+        "near_k": [("default", 5), ("single", 5)],
+    }
+
+    def test_slice_names_every_case(self):
+        assert list(self.SLICE) == list(sweep_cases.CASES)
+
+    @pytest.mark.parametrize("name", list(SLICE))
+    def test_case_matches_per_point_sweep(self, name):
+        s, t, gt = sweep_cases.case(name)
+        for grid, k in self.SLICE[name]:
+            check_sweep(s, t, gt, k, [sweep_cases.GRIDS[grid]])
+
+    @pytest.mark.parametrize("name", ["separated", "separated_then_walk", "at_floor", "below_floor"])
+    def test_prefilter_takes_exactly_the_cells_at_or_above_the_floor(self, name, monkeypatch):
+        s, t, gt = sweep_cases.case(name)
+        n, m = s.shape
+        floor = prefilter_floor(s, t, gt, DEFAULT_WEIGHT_GRID)
+        top = np.maximum(s, t)
+        for k in (1, 5):
+            tried = record_candidates(monkeypatch)
+            _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, k)
+            monkeypatch.undo()
+            assert any(cells is not None for cells in tried)
+            lo = 0
+            for cells, rows in zip(tried, block_heights(n, m, k)):
+                taken = np.flatnonzero(top[lo : lo + rows] >= floor[lo : lo + rows, None])
+                if cells is None:
+                    assert len(taken) * ens._SPARSE > rows * m
+                else:
+                    assert np.array_equal(cells, taken)
+                lo += rows
 
 
 class TestIterativeEnsemble:
