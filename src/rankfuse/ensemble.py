@@ -19,14 +19,15 @@ around each row's best relevant score that bounds that rounding, and only
 rows with a second score in the band are ranked again at each w.
 
 The sweep is one walk over blocks of rows for every k, into one array of
-ranks, and one ranker for every row set it ranks: a block of the walk, or
-the rows gathered after it. The ranker takes each weight's first rule that
-holds: the zero shortcut, then, at a block only, deferring a weight between
-two anchors (below), then the float32 filter, and float64 for the rows any
-of these leave. k chooses only the block height, whether the float32
-filter runs (k > 1), and how float64 ranks: by an ``argmax`` hit test at
-k = 1 and by an exact rank count at k > 1. Every row of s and t the sweep
-reads, it reads through one place.
+ranks. At each weight a block takes the first rule that holds: the zero
+shortcut, then a weight between two anchors (below), then the float32
+filter, and float64 for the rows any of these leave. k chooses only the
+block height, whether the float32 filter runs (k > 1), and how float64
+ranks: by an ``argmax`` hit test at k = 1 and by an exact rank count at
+k > 1. What the walk leaves open it queues as cells, over a base rank it
+has already written, and one exact ranker adds each row's count over its
+queued cells: whenever a run of weights has queued a block's cells, and
+once the walk is done.
 
 Before either, at every k, a candidate prefilter bounds what can count.
 A blend ``w*s_j + (1-w)*t_j`` never exceeds ``max(s_j, t_j)``, so only
@@ -35,7 +36,7 @@ the grid can rank above its relevant item at any w: the upper-bound pruning
 of Fagin, Lotem and Naor's Threshold Algorithm and of WAND. When a block
 holds few such candidates (at most 1/16 of its cells, about 1% of them in a
 person-ID search with several relevant items per query), its candidate
-cells are gathered and, once the walk is done, ranked at every w from
+cells are queued at every w over a base rank of 0, and so ranked from
 those cells alone. The first block with more ends the prefilter for the
 step, so a step where half the cells are candidates pays for one block.
 
@@ -43,12 +44,14 @@ At k > 1 the filter ranks every row only at the grid's anchors: its ends
 and both ends of every gap wider than the mean spacing (0, 0.5, 0.8 and
 0.95 for the default grid). Each item's blend less a relevant item's is
 linear in w, so at a weight between two anchors a row is decided by what
-the filter proved at the two: k items above the best relevant score at
-both make it a miss, and at most k items not below the lead relevant score
-at either make it a hit. Only the other rows, a few percent of them inside
-the default grid's dense tail, are ranked at the weights between: gathered
-from every block once the walk is done, and given to the same ranker, at
-most a block's height at a time, which judges them by their own magnitudes.
+the filter proved at the two: an item above the best relevant score at
+both stays above it between them, and one not below the lead relevant
+score at either stays below it. A row's base rank there is its count of
+items above at both: k of them make it a miss, and at most k items not
+below the lead at either make it a hit. Only the other rows, a few percent
+of them inside the default grid's dense tail, need more: their open cells,
+not below the lead at either anchor and not above at both, are queued at
+the weights between.
 """
 
 from __future__ import annotations
@@ -195,8 +198,10 @@ _F32_MAX, _F32_MIN = 2.0**100, 2.0**-100
 # below the lead's. A row with k entries above at both anchors misses there,
 # and one with at most k entries ahead at either anchor (the lead, e = 0, is
 # one) hits: its best relevant item and every item ranked before it are
-# among them. Where an anchor took the float64 kernel, the weights between
-# it and its neighbours rank every row.
+# among them. Any other row's rank at each w between is its count of entries
+# above at both plus the exact count over its open cells, those ahead at
+# either anchor and not above at both. Where an anchor took the float64
+# kernel, the weights between it and its neighbours rank every row.
 # The band, around each row's best relevant raw score v, that ranks an
 # all-zero S block once for every w < 1. There fl(w*s_j) is +-0, exact, and
 # adding it to fl(c*t_j), c = fl(1 - w) > 0, changes no value, so each
@@ -228,12 +233,11 @@ _ZERO_GUARD = 4 * 2.0**-53
 # candidate. An infinite V (float64 overflow) gets no floor.
 _FLOOR_REL, _FLOOR_ABS = 2.0**-50, 2.0**-1070
 # A block is ranked from its candidate cells alone when they are at most
-# 1/_SPARSE of its cells. Ranking a gathered cell at all ten default weights
-# costs about 55-70 ns in a run of a block's cells, against 11-12 ns per cell
-# for the block path and about 1.5 ns per cell for the candidate search
-# (2-core Xeon, numpy 2.4; 500 x 2000 at R@1 and 1000 x 1000 at R@5), so
-# break-even is near 1/6; 1/16 keeps a margin for short runs, where each
-# weight's dozen numpy calls cost more per cell.
+# 1/_SPARSE of its cells. Ranking a queued cell at all ten default weights
+# costs about 106-168 ns, against 11-12 ns per cell for the block path and
+# about 1.5 ns per cell for the candidate search (2-core Xeon, numpy 2.4;
+# 62,000 queued cells of a 1000 x 1000 sweep at R@1 and R@5), so break-even
+# lies between about 1/18 and 1/10 of a block's cells, and 1/16 inside that.
 _SPARSE = 16
 
 
@@ -277,21 +281,28 @@ def _candidates(s: np.ndarray, t: np.ndarray, floor: np.ndarray, x: np.ndarray, 
 
 
 def _cell_ranks(s, t, cells, weights, best, first, out, blend, part, mask) -> None:
-    """Rank the rows of ``s`` and ``t`` at every weight from their candidate cells alone.
+    """Add to each row's rank, at every weight, its exact count over the queued ``cells``.
 
-    ``cells`` are flat indices into the rows, and every other cell blends
-    below its row's best relevant blend ``best[i]`` at each weight (see
-    ``_FLOOR_REL``). The exact rule of
+    ``cells`` are flat indices ``row * m + column`` into ``s`` and ``t``,
+    and ``out[i]`` already holds each row's count over its other cells at
+    ``weights[i]``: 0 for a block the candidate prefilter took, whose other
+    cells blend below the row's best relevant blend ``best[i]`` (see
+    ``_FLOOR_REL``), and the count proven above at both anchors for an
+    undecided row (see ``_GUARD``). The exact rule of
     :func:`rankfuse.metrics._count_ranks`, ``#(a > v) + #(a == v and j < r)``
-    for v = ``best[i]`` and r = ``first[i]``, is counted over the candidates
-    into ``out[i]``; it is 0 exactly when ``argmax`` finds r. ``blend`` and
-    ``part`` (float64) and ``mask`` (bool) are flat scratch of at least
-    ``len(cells)`` cells: per weight, the cells' blends, their rows' v, and
-    which of them rank ahead of r.
+    for v = ``best[i]`` and r = ``first[i]``, is counted over the cells and
+    added to ``out[i]``, so a row's cells may come in several calls.
+    ``blend`` and ``part`` (float64) and ``mask`` (bool) are flat scratch of
+    at least twice ``len(cells)`` cells: the second halves of ``blend`` and
+    ``part`` hold the cells' s and t, and per weight the first halves and
+    ``mask`` the cells' blends, their rows' v and which of them rank ahead
+    of r.
     """
-    q, j = np.divmod(cells, s.shape[1])
-    sq, tq = s[q, j], t[q, j]
     c = len(cells)
+    q, j = np.divmod(cells, s.shape[1])
+    sq, tq = blend[c : 2 * c], part[c : 2 * c]
+    sq[:] = s[q, j]
+    tq[:] = t[q, j]
     for i, w in enumerate(weights):
         a = _blend(w, sq, tq, out=blend[:c], part=part[:c])
         v = np.take(best[i], q, out=part[:c])
@@ -299,24 +310,25 @@ def _cell_ranks(s, t, cells, weights, best, first, out, blend, part, mask) -> No
         # Every row's r ties its own v, and few other cells do.
         tied = np.flatnonzero(a == v)
         ahead[tied] = j[tied] < first[i, q[tied]]
-        out[i] = np.bincount(q[ahead], minlength=len(s))
+        np.add(out[i], np.bincount(q[ahead], minlength=out.shape[1]), out=out[i], casting="unsafe")
 
 
-def _runs(blocks: list, m: int, cap: int):
-    """Runs of consecutive blocks ``(lo, hi, cells)``, each of at most ``cap`` cells.
+def _drain(queue: dict, limit: int, s, t, weights, best, first, ranks, scratch: tuple) -> None:
+    """Rank, and take out of ``queue``, each range holding at least ``limit`` cells.
 
-    ``cells`` are flat indices into a block's rows of ``m`` columns; each
-    run is yielded as one such block.
+    ``queue`` maps a range ``(a, b)`` of weight indices to a list of arrays
+    of flat indices, queued at weights ``a`` to ``b - 1`` over base ranks
+    already in ``ranks``. A range's arrays are joined once popped, so they
+    go as soon as the join is made, and :func:`_cell_ranks` adds their
+    counts with ``scratch``, its three flat buffers, at most half their
+    length at a time. Drained whenever a range reaches their length, a range
+    never holds two blocks' cells when the walk's scratch is a block's.
     """
-    run, size = [], 0
-    # A last block that follows none ends the last run.
-    for lo, hi, cells in blocks + [(-1, -1, ())]:
-        if run and (lo != run[-1][1] or size + len(cells) > cap):
-            start = run[0][0]
-            yield start, run[-1][1], np.concatenate([(b - start) * m + c for b, _, c in run])
-            run, size = [], 0
-        run.append((lo, hi, cells))
-        size += len(cells)
+    size = len(scratch[0]) // 2
+    for a, b in [key for key, parts in queue.items() if sum(map(len, parts)) >= limit]:
+        cells = np.concatenate(queue.pop((a, b)))
+        for lo in range(0, len(cells), size):
+            _cell_ranks(s, t, cells[lo : lo + size], weights[a:b], best[a:b], first[a:b], ranks[a:b], *scratch)
 
 
 def _anchors(weights: tuple) -> list:
@@ -367,20 +379,25 @@ def _filter_ranks(ds, dt, off, w, g, x, part, mask, out, proof=None) -> np.ndarr
     return _band_ranks(x, g, -g, mask, out)
 
 
-def _undecided(left: tuple, right: tuple, k: int, mask: np.ndarray, sure: np.ndarray) -> np.ndarray:
-    """The rows two anchors' proofs leave undecided for every weight between them.
+def _undecided(left: tuple, right: tuple, k: int, sure: np.ndarray) -> np.ndarray:
+    """The open cells of the rows two anchors' proofs leave undecided for every weight between them.
 
     ``left`` and ``right`` are the anchors' (above, ahead) masks from
-    :func:`_filter_ranks`. Each row's count of entries above at both ends
-    goes into ``sure``: at least k is a miss and, on a decided row, fewer
-    is a hit, so ``sure`` is a valid rank for every decided row. A row is
-    decided when it misses or has at most k entries ahead at either end.
+    :func:`_filter_ranks`; ``left``'s are written over. Each row's count of
+    entries above at both ends goes into ``sure``: at least k is a miss
+    and, on a decided row, fewer is a hit, so ``sure`` is a valid rank for
+    every decided row. A row is decided when it misses or has at most k
+    entries ahead at either end. An undecided row's open cells, ahead at
+    either end and not above at both, are the only ones whose order against
+    its best relevant blend is not proven between the ends (see
+    ``_GUARD``); they are returned as flat indices into the rows.
     """
-    np.logical_and(left[0], right[0], out=mask)
-    np.add.reduce(mask.view(np.uint8), axis=1, dtype=sure.dtype, out=sure)
-    np.logical_or(left[1], right[1], out=mask)
-    ahead = np.add.reduce(mask.view(np.uint8), axis=1, dtype=sure.dtype)
-    return np.flatnonzero((sure < k) & (ahead > k))
+    above = np.logical_and(left[0], right[0], out=left[0])
+    np.add.reduce(above.view(np.uint8), axis=1, dtype=sure.dtype, out=sure)
+    ahead = np.logical_or(left[1], right[1], out=left[1])
+    rows = np.flatnonzero((sure < k) & (np.add.reduce(ahead.view(np.uint8), axis=1, dtype=sure.dtype) > k))
+    i, j = np.nonzero(ahead[rows] & ~above[rows])
+    return rows[i] * above.shape[1] + j
 
 
 def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple, k: int) -> list:
@@ -389,42 +406,44 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     The best relevant scores come from the (query, item) pairs alone, once
     for the whole grid. The rows are then walked in blocks, each ranked at
     every w while its rows of s and t are still in cache, into one array of
-    ranks whose hits, ``ranks < k``, are counted per w at the end. Every
-    read of rows of s and t, by the walk, the ranker and the prefilter's
-    runs, goes through one reader.
+    ranks whose hits, ``ranks < k``, are counted per w at the end. The cells
+    the walk leaves open go into one queue, at the weights where they are
+    open, over a base rank the walk has already written. Whenever a run of
+    weights has queued a block's cells, and once the walk is done,
+    :func:`_drain` has :func:`_cell_ranks` add to each row's base rank its
+    exact count over its queued cells, by the rule of
+    :func:`rankfuse.metrics._count_ranks`, half a block's cells at a time.
 
     Until a block has more, a block whose cells with ``max(s, t)`` at or
     above its row's floor (its lowest best relevant blend over the grid,
     less a rounding margin; see ``_FLOOR_REL``) are at most 1/16 of its
-    cells is set aside (:func:`_candidates`): no other cell can count in a
-    rank at any w. Once the walk is done, those blocks are ranked at every
-    w in runs of at most a block's cells (:func:`_cell_ranks`) by the exact
-    rule of :func:`rankfuse.metrics._count_ranks`.
+    cells is queued whole (:func:`_candidates`): those cells at every w,
+    over a base rank of 0, since no other cell can count in a rank at any w.
 
-    Every other block goes to one ranker, which ranks a row set, a block or
-    at most a block's height of gathered rows, at a list of weights. At each
-    weight it applies the first of these rules that holds:
+    Every other block is ranked at each weight by the first of these rules
+    that holds:
 
     1. A block whose rows of s are all +-0 (the first fusion step) has been
        ranked once for the whole grid by :func:`_zero_ranks`: at every
        w < 1 within the float32 bounds, its rows rank as in t itself.
-    2. At a block of the walk only, at k > 1, a weight between two anchors
-       (:func:`_anchors`) where the float32 filter runs at both is left to
-       the rows those two leave undecided (:func:`_undecided`): a row with
-       k entries proven above its best relevant score at both anchors
-       misses at every w between them, and one with at most k entries not
-       proven below its lead relevant score at either anchor hits (see
-       ``_GUARD``). The undecided rows are gathered from every block once
-       the walk is done and given to the ranker at those weights, which
-       judges the float32 bounds on their own magnitudes.
-    3. At k > 1, within the float32 bounds, the float32 filter: the row set
-       is copied to float32 once, less each row's lead (first) relevant
-       score, blended at every w, at half the bytes, and less each row's
-       offset from that lead to its best relevant blend. Its entries above
-       a guard band that bounds the rounding error are counted by
+    2. At k > 1, a weight between two anchors (:func:`_anchors`) where the
+       float32 filter runs at both is decided by what the filter proved at
+       the two (:func:`_undecided`): an entry proven above its row's best
+       relevant score at both anchors is above it at every w between them,
+       and one not proven below its lead relevant score at either is below
+       it (see ``_GUARD``). Each row's base rank there is its count of
+       entries above at both, which decides a row with k of them (a miss)
+       or with at most k entries ahead at either anchor (a hit). The other
+       rows queue their open cells, ahead at either anchor and not above
+       at both, at the weights between.
+    3. At k > 1, within the float32 bounds, the float32 filter: the block is
+       copied to float32 once, less each row's lead (first) relevant score,
+       blended at every w, at half the bytes, and less each row's offset
+       from that lead to its best relevant blend. Its entries above a guard
+       band that bounds the rounding error are counted by
        :func:`rankfuse.metrics._band_ranks`. At an anchor the filter also
-       keeps the masks that the rows between anchors are decided by, and
-       at the second anchor of a pair it finds the undecided rows.
+       keeps the masks that rule 2 decides by, and at the second anchor of
+       a pair it applies rule 2 to the weights between.
     4. Otherwise the rows are blended in float64 at that w.
 
     Rules 1 and 3 also find the rows with a second entry in their band, and
@@ -434,7 +453,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     relevant item, and at k > 1 by :func:`rankfuse.metrics._count_ranks`. A
     block at k = 1 has half the cells of one at k > 1, whose float32 copies
     have the bytes of a float64 block. The float32 buffers and the proof
-    masks are made when a row set first reaches the filter, so a sweep that
+    masks are made when a block first reaches the filter, so a sweep that
     the zero shortcut or the prefilter takes whole never makes them.
     """
     n, m = t.shape
@@ -458,8 +477,9 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     rows = _block_rows(t.shape, _BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
-    # numpy sums uint8 into uint16 faster than into uint32.
-    ranks = np.empty((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
+    # numpy sums uint8 into uint16 faster than into uint32. The base rank of
+    # a queued cell's row is 0 where the walk writes none.
+    ranks = np.zeros((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
     above, sure = np.empty(rows, ranks.dtype), np.empty(rows, ranks.dtype)
     if k > 1:
         lead = gt._starts
@@ -468,27 +488,23 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     # taking turns, after the four float32 buffers; all made on first use.
     turn = {a: 4 + j % 2 for j, a in enumerate(anchors) if {a - 1, a + 1} & between.keys()}
     scratch = []
-    # Per anchor pair, the rows it leaves undecided, block by block, and the
-    # blocks the candidate prefilter takes, as (lo, hi, candidate cells).
-    undecided, gathered = {}, []
-
-    def read(q):
-        """The rows ``q`` of s and t: the one read of rows in the sweep."""
-        return s[q], t[q]
-
-    def at(q, j):
-        """The rows at positions ``j`` of the row set ``q``."""
-        return q[j] if isinstance(q, np.ndarray) else q.start + j
-
-    def rank(q, sq, tq, indices, zero=None, walk=False):
-        """Rank the rows ``q`` of s and t, ``sq`` and ``tq``, at ``weights[i]`` for each i in ``indices``.
-
-        ``q`` is a walk block's slice, with ``zero`` its :func:`_zero_ranks`,
-        or at most a block's height of gathered rows. Only a block of the
-        walk, marked by ``walk``, leaves weights between two anchors to the
-        rows they leave undecided.
-        """
-        r = len(sq)
+    # The cells left open, flat indices into s and t, per range of weight indices.
+    queue = {}
+    flat = blend.reshape(-1), part.reshape(-1), mask.reshape(-1)
+    sparse = True
+    for lo, hi in _row_blocks(n, rows):
+        # A range that holds a block's cells is ranked while the scratch is free.
+        _drain(queue, blend.size, s, t, weights, best, first, ranks, flat)
+        q, r = slice(lo, hi), hi - lo
+        sq, tq = s[q], t[q]
+        zero = _zero_ranks(sq, tq, sp[ends[lo] : ends[hi]], t_best[q], mask[:r], above[:r])
+        if sparse and not zero:
+            # The first block with too many candidates ends the prefilter.
+            cells = _candidates(sq, tq, floor[q], blend[:r], mask[:r])
+            sparse = cells is not None
+            if sparse:
+                queue.setdefault((0, len(weights)), []).append(cells + lo * m)
+                continue
         fits = k > 1 and not zero
         if fits:
             s_max, t_max = _magnitude(sq), _magnitude(tq)
@@ -504,57 +520,30 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             off = (best[:, q] - vals_lead[:, q]).astype(np.float32)
         # The float32 filter's guard band at each weight, or False.
         guards = [fits and _guard(w, s_max, t_max) for w in weights]
-        for i in indices:
-            rest, pair = q, walk and between.get(i)
-            if zero and (1.0 - weights[i]) * zero[0] >= _F32_MIN:
+        for i, w in enumerate(weights):
+            rest, pair = q, between.get(i)
+            if zero and (1.0 - w) * zero[0] >= _F32_MIN:
                 ranks[i, q] = above[:r]
-                rest = at(q, zero[1])
+                rest = zero[1] + lo
             elif pair and guards[pair[0]] and guards[pair[1]]:
-                # Ranked with its pair's undecided rows, after the walk.
+                # Ranked at the pair's second anchor (rule 2).
                 continue
             elif g := guards[i]:
                 proof = i in turn and tuple(scratch[turn[i]][:, :r])
-                band = _filter_ranks(ds, dt, off[i], weights[i], g, x32, part32, mask[:r], above[:r], proof)
-                ranks[i, q], rest = above[:r], at(q, band)
+                band = _filter_ranks(ds, dt, off[i], w, g, x32, part32, mask[:r], above[:r], proof)
+                ranks[i, q], rest = above[:r], band + lo
                 a = closes.get(i)
                 if a is not None and guards[a]:
-                    und = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, mask[:r], sure[:r])
+                    cells = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, sure[:r])
                     ranks[a + 1 : i, q] = sure[:r]
-                    undecided.setdefault((a, i), []).append(at(q, und))
-            # Float64 on the rows left, if any: a row set is never empty.
+                    queue.setdefault((a + 1, i), []).append(cells + lo * m)
+            # Float64 on the rows left, if any: a block is never empty.
             if rest is q or len(rest):
-                sr, tr = read(rest)
+                sr, tr = s[rest], t[rest]
                 c = len(sr)
-                x, f = _blend(weights[i], sr, tr, out=blend[:c], part=part[:c]), first[i, rest]
+                x, f = _blend(w, sr, tr, out=blend[:c], part=part[:c]), first[i, rest]
                 ranks[i, rest] = np.argmax(x, axis=1) != f if k == 1 else _count_ranks(x, best[i, rest], f)
-
-    sparse = True
-    for lo, hi in _row_blocks(n, rows):
-        q, r = slice(lo, hi), hi - lo
-        sb, tb = read(q)
-        zero = _zero_ranks(sb, tb, sp[ends[lo] : ends[hi]], t_best[q], mask[:r], above[:r])
-        if sparse and not zero:
-            # The first block with too many candidates ends the prefilter.
-            cells = _candidates(sb, tb, floor[q], blend[:r], mask[:r])
-            sparse = cells is not None
-            if sparse:
-                gathered.append((lo, hi, cells))
-                continue
-        rank(q, sb, tb, range(len(weights)), zero, walk=True)
-    # The rows two anchors left undecided, gathered from every block and
-    # ranked at the weights between the two, a block's height at a time.
-    for (a, b), parts in undecided.items():
-        und = np.concatenate(parts)
-        for lo in range(0, len(und), rows):
-            q = und[lo : lo + rows]
-            rank(q, *read(q), range(a + 1, b))
-    # The blocks the prefilter took, ranked at every weight from their
-    # candidate cells, a run of consecutive blocks of at most a block's
-    # cells at a time.
-    flat = blend.reshape(-1), part.reshape(-1), mask.reshape(-1)
-    for lo, hi, cells in _runs(gathered, m, blend.size):
-        q = slice(lo, hi)
-        _cell_ranks(*read(q), cells, weights, best[:, q], first[:, q], ranks[:, q], *flat)
+    _drain(queue, 0, s, t, weights, best, first, ranks, flat)
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
 

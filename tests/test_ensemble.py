@@ -197,6 +197,24 @@ class TestBlockedSweep:
         return models
 
     @staticmethod
+    def crossing_lines(rng, n, m):
+        """Two n x m models whose every row's items cross its relevant one between 0.8 and 0.95.
+
+        Each row's relevant item (identity truth) scores 0.5 in both, and
+        every other item s = 0.5 + d and t = 0.5 - 9d for a d in (0, 0.05],
+        which blends to 0.5 + d(10w - 9): below the relevant item at 0.8 and
+        above it at 0.95. Every item is a candidate, so the prefilter stops
+        at the first block, and at Recall@5 the anchors 0.8 and 0.95 leave
+        every row undecided with every cell open, so all n * m cells are
+        queued at the six weights between.
+        """
+        d = 0.05 * (1 - rng.random((n, m)))
+        s, t = 0.5 + d, 0.5 - 9 * d
+        np.fill_diagonal(s, 0.5)
+        np.fill_diagonal(t, 0.5)
+        return ScoreMatrix(s), ScoreMatrix(t)
+
+    @staticmethod
     def traced_peak(s, t, gt, k) -> int:
         """The traced peak, in bytes, of one default-grid ``sweep_weight`` at Recall@k."""
         tracemalloc.start()
@@ -224,6 +242,22 @@ class TestBlockedSweep:
                 assert counts == ([62 * r for r in block_heights(n, m, k)] if sparse else [None])
                 # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
                 assert peak < n * m * 8
+        # The queue of cells stays under two blocks' cells a run of weights,
+        # however many rows the anchors leave undecided.
+        s, t = self.crossing_lines(rng, n, m)
+        queued = dict.fromkeys(DEFAULT_WEIGHT_GRID, 0)
+        cell_ranks = ens._cell_ranks
+
+        def counted(s, t, cells, weights, *args):
+            for w in weights:
+                queued[w] += len(cells)
+            return cell_ranks(s, t, cells, weights, *args)
+
+        monkeypatch.setattr(ens, "_cell_ranks", counted)
+        peak = self.traced_peak(s, t, gt, 5)
+        monkeypatch.undo()
+        assert queued == {w: n * m if 0.8 < w < 0.95 else 0 for w in DEFAULT_WEIGHT_GRID}
+        assert peak < n * m * 8
 
     def test_no_float32_scratch_at_r5_where_no_block_reaches_the_filter(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -238,9 +272,14 @@ class TestBlockedSweep:
         run_cells = (rows5 - block_heights(n, m, 1)[0]) * m
         cases = [
             ((ScoreMatrix(np.zeros((n, m))), t), 0),
-            # The prefilter ranks runs of up to a block's cells, and a run at
-            # R@5 holds run_cells more than at R@1, each with a flat index,
-            # a row and a column index and its s and t values: 40 bytes.
+            # The prefilter queues each block's candidates, 62,000 flat
+            # indices here, and ranks them whenever they reach a block's cells
+            # and at the end, half a block's cells at a time. At R@5 the
+            # joined queue holds at most run_cells more of them (8 bytes each)
+            # than at R@1, and a slice run_cells / 2 more, each with a row and
+            # a column index and, if every cell ties, four index arrays over
+            # the ties (48 bytes; its s and t go into the blend scratch): 32
+            # bytes a run cell, within 40.
             (self.near_limit(rng, n, m), 40 * run_cells),
         ]
         filter_ranks = ens._filter_ranks
@@ -380,15 +419,36 @@ def reranked_at(queries: dict, w) -> np.ndarray:
     return np.sort(np.concatenate(queries.get(w, [np.empty(0, np.intp)])))
 
 
-def undecided_rows(s, t, gt, wa, wb, k, tol) -> np.ndarray:
-    """The rows whose rank between anchor weights ``wa`` and ``wb`` the two leave open.
+def record_cell_ranks(monkeypatch) -> dict:
+    """Per weight, the cells of each call of the sweep's exact cell ranker ``_cell_ranks``.
+
+    A call ranks its cells, flat indices ``row * m + column``, at a run of
+    weights, and they are filed under each of them; ``reranked_at`` sorts
+    the cells filed under one weight.
+    """
+    queued = {}
+    cell_ranks = ens._cell_ranks
+
+    def recorded(s, t, cells, weights, *args):
+        for w in weights:
+            queued.setdefault(w, []).append(cells.copy())
+        return cell_ranks(s, t, cells, weights, *args)
+
+    monkeypatch.setattr(ens, "_cell_ranks", recorded)
+    return queued
+
+
+def undecided_cells(s, t, gt, wa, wb, k, tol) -> np.ndarray:
+    """The open cells of the rows whose rank between anchor weights ``wa`` and ``wb`` the two leave open.
 
     From the float64 blends at the anchors: an entry is above when it scores
     more than ``tol`` over its row's best relevant blend, and ahead when it
     scores no more than ``tol`` under its lead relevant item's. A row is
     undecided with fewer than k entries above at both anchors and more than
-    k ahead at either. The same rows at a tiny and at a wide ``tol`` show
-    that no entry lies where rounding could decide it.
+    k ahead at either, and its open cells are those ahead at either and not
+    above at both; they are returned as flat indices ``row * m + column``.
+    The same cells at a tiny and at a wide ``tol`` show that no entry lies
+    where rounding could decide it.
     """
     rows, lead = np.arange(s.shape[0]), gt._items[gt._starts]
     above, ahead = True, False
@@ -397,15 +457,22 @@ def undecided_rows(s, t, gt, wa, wb, k, tol) -> np.ndarray:
         best = np.array([a[q, sorted(rel)].max() for q, rel in enumerate(gt.relevant)])
         above = above & (a > best[:, None] + tol)
         ahead = ahead | (a >= a[rows, lead][:, None] - tol)
-    sure, ahead = np.count_nonzero(above, axis=1), np.count_nonzero(ahead, axis=1)
-    return np.flatnonzero((sure < k) & (ahead > k))
+    sure, count = np.count_nonzero(above, axis=1), np.count_nonzero(ahead, axis=1)
+    open_cells = ahead & ~above
+    open_cells[(sure >= k) | (count <= k)] = False
+    return np.flatnonzero(open_cells)
+
+
+def exact_undecided_cells(s, t, gt, wa, wb, k) -> np.ndarray:
+    """:func:`undecided_cells`, after checking that rounding decides none of them."""
+    cells = undecided_cells(s, t, gt, wa, wb, k, 1e-9)
+    assert np.array_equal(cells, undecided_cells(s, t, gt, wa, wb, k, 1e-5))
+    return cells
 
 
 def exact_undecided_rows(s, t, gt, wa, wb, k) -> np.ndarray:
-    """:func:`undecided_rows`, after checking that rounding decides none of them."""
-    undecided = undecided_rows(s, t, gt, wa, wb, k, 1e-9)
-    assert np.array_equal(undecided, undecided_rows(s, t, gt, wa, wb, k, 1e-5))
-    return undecided
+    """The rows of :func:`exact_undecided_cells`: an undecided row has at least two open cells."""
+    return np.unique(exact_undecided_cells(s, t, gt, wa, wb, k) // s.shape[1])
 
 
 class TestFloat32Filter:
@@ -473,13 +540,16 @@ class TestFloat32Filter:
         grid = self.GRIDS[0]
         assert [grid[i] for i in ens._anchors(grid)] == [0.0, 0.25, 0.5, 0.9, 1.0]
         queries = record_reranks(monkeypatch)
+        queued = record_cell_ranks(monkeypatch)
         _sweep_values(s, t, gt, grid, 2)
         # Every row holds its twin in the band: each anchor re-ranks every
-        # row, and 0.95, between the anchors 0.9 and 1.0, the undecided ones.
-        undecided = exact_undecided_rows(s, t, gt, 0.9, 1.0, 2)
-        assert 0 < len(undecided) < n
+        # row in float64. 0.95, between the anchors 0.9 and 1.0, re-ranks no
+        # row and ranks the open cells of the undecided rows alone.
+        cells = exact_undecided_cells(s, t, gt, 0.9, 1.0, 2)
+        assert 0 < len(np.unique(cells // m)) < n
         for w in grid:
-            assert np.array_equal(reranked_at(queries, w), np.sort(r[undecided] if w == 0.95 else r))
+            assert np.array_equal(reranked_at(queries, w), [] if w == 0.95 else np.sort(r))
+            assert np.array_equal(reranked_at(queued, w), cells if w == 0.95 else [])
 
     def test_only_rows_inside_the_band_are_reranked(self, monkeypatch):
         rng = np.random.default_rng(34)
@@ -508,11 +578,9 @@ class TestFloat32Filter:
             queries = record_reranks(monkeypatch)
             _sweep_values(s, t, gt, grid, 5)
             # Per anchor, exactly the rows in ``near``: the twin is in the
-            # band at w > 0 and ties at w = 0. Between anchors, the rows in
-            # ``near`` that are undecided.
+            # band at w > 0 and ties at w = 0. Between anchors, none.
             for w in grid:
-                expected = near if w in anchors else np.intersect1d(near, undecided)
-                assert np.array_equal(reranked_at(queries, w), expected)
+                assert np.array_equal(reranked_at(queries, w), near if w in anchors else [])
             monkeypatch.undo()
 
     def test_gallery_past_uint16_counts(self):
@@ -721,41 +789,39 @@ class TestZeroAccumulator:
             monkeypatch.undo()
             # A nonzero s: none at k = 1, where each block is blended once per
             # weight instead. At k > 1, one count per block at each of the
-            # anchors 0, 0.5, 0.8 and 0.95; then, at each of the six weights
-            # between 0.8 and 0.95, one over the undecided rows alone.
+            # anchors 0, 0.5, 0.8 and 0.95, and none at the six weights
+            # between 0.8 and 0.95, which rank the undecided rows' open cells.
             counted = record_band_counts(monkeypatch)
             blended = record_blends(monkeypatch)
+            queued = record_cell_ranks(monkeypatch)
             _sweep_values(s, t, gt, grid, k)
             if k == 1:
-                assert not counted
+                assert not counted and not queued
                 assert len(blended) == blocks * len(grid) and sum(blended) == n * len(grid)
             else:
-                undecided = exact_undecided_rows(s, t, gt, 0.8, 0.95, k)
-                assert counted == default_grid_band_counts(n, cells // m, undecided)
+                assert counted == default_grid_band_counts(n, cells // m)
+                open_cells = exact_undecided_cells(s, t, gt, 0.8, 0.95, k)
+                for w in grid[3:9]:
+                    assert np.array_equal(reranked_at(queued, w), open_cells)
             monkeypatch.undo()
 
 
-def default_grid_band_counts(n: int, rows: int, undecided: np.ndarray) -> list:
+def default_grid_band_counts(n: int, rows: int) -> list:
     """The rows of each band count of a k > 1 default-grid sweep over blocks of ``rows`` rows.
 
-    Each block is counted whole at the anchors 0, 0.5, 0.8 and 0.95. The
-    ``undecided`` rows of every block are then gathered, a block's height
-    at a time, and counted at each of the six weights between 0.8 and 0.95.
+    Each block is counted whole at the anchors 0, 0.5, 0.8 and 0.95. The six
+    weights between 0.8 and 0.95 count no band: they rank the rows those
+    two leave undecided from their open cells.
     """
-    counts = []
-    for lo in range(0, n, rows):
-        counts += [min(rows, n - lo)] * 4
-    for lo in range(0, len(undecided), rows):
-        counts += [min(rows, len(undecided) - lo)] * 6
-    return counts
+    return [min(rows, n - lo) for lo in range(0, n, rows) for _ in range(4)]
 
 
 class TestAnchorPruning:
-    """Weights between two anchors rank only the rows the anchors leave undecided.
+    """Weights between two anchors rank only the open cells of the rows the anchors leave undecided.
 
     Every case is checked against the per-point ``query_ranks`` sweep and a
-    stable-sort rank; the structure is watched through the band count and
-    the float64 rank kernel.
+    stable-sort rank; the structure is watched through the band count, the
+    float64 rank kernel and the exact cell ranker.
     """
 
     GRIDS = [
@@ -802,7 +868,7 @@ class TestAnchorPruning:
                 for k in (2, 3, 5, 10):
                     check_sweep(s, t, gt, k, self.GRIDS)
 
-    def test_relevant_lines_crossing_between_anchors(self):
+    def test_relevant_lines_crossing_between_anchors(self, monkeypatch):
         rng = np.random.default_rng(52)
         n, m = 120, 400
         s, t = 0.5 * rng.random((n, m)), 0.5 * rng.random((n, m))
@@ -826,9 +892,19 @@ class TestAnchorPruning:
             # above it around the crossing.
             dips = picks[3 : 3 + int(rng.integers(0, 3))]
             s[q, dips] = t[q, dips] = rng.choice([0.89, 0.91], len(dips))
-        gt = GroundTruth(relevant=tuple(relevant), gallery_size=m)
+        # Every third row gets misses instead, whose candidates end the
+        # prefilter at the first block, so that the blocks take the walk.
+        s, t, gt = sweep_cases.with_misses(rng, s, t, GroundTruth(relevant=tuple(relevant), gallery_size=m))
         for k in (2, 3, 4, 5):
             check_sweep(s, t, gt, k, self.GRIDS[2:4])
+            # One block, walked; its anchors 0.8 and 0.95 leave rows
+            # undecided at every weight between them.
+            tried = record_candidates(monkeypatch)
+            queued = record_cell_ranks(monkeypatch)
+            _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, k)
+            monkeypatch.undo()
+            assert tried == [None]
+            assert set(queued) == set(DEFAULT_WEIGHT_GRID[3:9])
         # Recall at 0.875 falls below its value at both anchors around it.
         values = _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, 3)
         assert values[4] < min(values[2], values[9])
@@ -863,26 +939,33 @@ class TestAnchorPruning:
         check_sweep(s, t, gt, k, [grid])
         counted = record_band_counts(monkeypatch)
         queries = record_reranks(monkeypatch)
+        queued = record_cell_ranks(monkeypatch)
         _sweep_values(s, t, gt, grid, k)
-        # The anchors re-rank every row in ``near``; the six weights between
-        # 0.8 and 0.95 band-count and re-rank the undecided rows alone.
+        # The anchors band-count every row and re-rank the rows in ``near``
+        # in float64. The six weights between 0.8 and 0.95 do neither, and
+        # rank the open cells of the undecided rows alone: each row's
+        # relevant item and its twin.
+        cells = exact_undecided_cells(s, t, gt, 0.8, 0.95, k)
+        assert np.array_equal(cells, np.ravel(undecided[:, None] * (m + 1) + [0, 1]))
         for w in grid:
-            assert np.array_equal(reranked_at(queries, w), near if w in (0.0, 0.5, 0.8, 0.95) else undecided)
-        assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m, undecided)
+            anchor = w in (0.0, 0.5, 0.8, 0.95)
+            assert np.array_equal(reranked_at(queries, w), near if anchor else [])
+            assert np.array_equal(reranked_at(queued, w), [] if anchor else cells)
+        assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m)
 
-
-    def test_gathered_rows_past_the_float32_range_take_float64(self, monkeypatch):
+    def test_undecided_tiny_rows_are_ranked_from_their_open_cells(self, monkeypatch):
         rng = np.random.default_rng(54)
         n, m, k = 150, 1000, 5
         grid = DEFAULT_WEIGHT_GRID
         # Each relevant item scores 0.5 in s and t and every other item
         # clears it by 0.1, most of them above: a miss at every w, decided
         # at the anchors. Every fifth row is random and scaled by 1e-32
-        # instead, its relevant item near the top. In a block of O(1) rows the anchors' guard bands hold,
-        # and they hold all of a tiny row in the band, so the tiny rows are
-        # left undecided between 0.8 and 0.95. Gathered alone, their
-        # magnitudes fall below the float32 filter's range (2**-100, about
-        # 7.9e-31), so they are ranked in float64 at all six weights between.
+        # instead, its relevant item near the top. In a block of O(1) rows the
+        # anchors' guard bands hold, and they hold all of a tiny row in the
+        # band, so the tiny rows are left undecided between 0.8 and 0.95 with
+        # every cell open. Their magnitudes lie below the float32 filter's
+        # range (2**-100, about 7.9e-31), which the exact cell ranker does
+        # not need: it finishes them from those cells at all six weights.
         side = rng.random((n, m)) < 0.5
         s = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
         t = np.where(side, 0.6 + 0.4 * rng.random((n, m)), 0.4 * rng.random((n, m)))
@@ -895,11 +978,16 @@ class TestAnchorPruning:
         check_sweep(s, t, gt, k, [grid])
         assert 0.0 < min(_sweep_values(s, t, gt, grid, k))
         queries = record_reranks(monkeypatch)
+        queued = record_cell_ranks(monkeypatch)
         _sweep_values(s, t, gt, grid, k)
         # The anchors rank the tiny rows in float64 as band rows, and every
-        # weight between them ranks the gathered tiny rows in float64 too.
+        # weight between them ranks every cell of the tiny rows and no other.
+        every_cell = (tiny[:, None] * m + np.arange(m)).ravel()
+        assert np.array_equal(exact_undecided_cells(s, t, gt, 0.8, 0.95, k), every_cell)
         for w in grid:
-            assert np.array_equal(reranked_at(queries, w), tiny)
+            anchor = w in (0.0, 0.5, 0.8, 0.95)
+            assert np.array_equal(reranked_at(queries, w), tiny if anchor else [])
+            assert np.array_equal(reranked_at(queued, w), [] if anchor else every_cell)
 
 
 def fusion_steps(mats, gt: GroundTruth, k: int) -> list:
@@ -1078,9 +1166,11 @@ class TestSweepCorpus:
 
     Each case is checked at the grids and cutoffs listed for it, chosen so
     that every shortcut's known mutations fail here: a zero guard band, a
-    prefilter floor without its margin, and ``_undecided`` taking a miss at
-    k - 1 or a hit at k + 1 entries; and so that a gathered row set that
-    deferred its own weights between anchors would fail too. About 5 s.
+    prefilter floor without its margin, ``_undecided`` taking a miss at
+    k - 1 or a hit at k + 1 entries or returning every ahead cell as open,
+    queued cells set over its first anchor too or over a base rank other
+    than 0, and ``_cell_ranks`` writing its count instead of adding it.
+    About 5 s.
     """
 
     SLICE = {
