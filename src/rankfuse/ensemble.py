@@ -18,18 +18,17 @@ this: an all-zero block of rows is ranked once per step, with a band
 around each row's best relevant score that bounds that rounding, and only
 rows with a second score in the band are ranked again at each w.
 
-The sweep is one walk over blocks of rows for every k, into one array of
-ranks. At each weight a block takes the first rule that holds: the zero
-shortcut, then a weight between two anchors (below), then the float32
-filter, and float64 for the rows any of these leave. k chooses only the
-block height, whether the float32 filter runs (k > 1), and how float64
-ranks: by an ``argmax`` hit test at k = 1 and by an exact rank count at
-k > 1. What the walk leaves open it queues as cells, over a base rank it
-has already written, and one exact ranker adds each row's count over its
-queued cells: whenever a run of weights has queued a block's cells, and
-once the walk is done.
+The sweep is one walk over blocks of rows, the same for every k, into one
+array of ranks. At each weight a block takes the first rule that holds:
+the zero shortcut, then a weight between two anchors (below), then the
+float32 filter, and an exact float64 rank count for the rows any of these
+leave. k is read only where a rank turns into a hit: ``rank < k``, and
+the anchors' rule for which rows are decided. What the walk leaves open it
+queues as cells, over a base rank it has already written, and one exact
+ranker adds each row's count over its queued cells: whenever a run of
+weights has queued a block's cells, and once the walk is done.
 
-Before either, at every k, a candidate prefilter bounds what can count.
+Before any of these, a candidate prefilter bounds what can count.
 A blend ``w*s_j + (1-w)*t_j`` never exceeds ``max(s_j, t_j)``, so only
 items whose larger score reaches the row's lowest best relevant blend over
 the grid can rank above its relevant item at any w: the upper-bound pruning
@@ -40,18 +39,18 @@ cells are queued at every w over a base rank of 0, and so ranked from
 those cells alone. The first block with more ends the prefilter for the
 step, so a step where half the cells are candidates pays for one block.
 
-At k > 1 the filter ranks every row only at the grid's anchors: its ends
-and both ends of every gap wider than the mean spacing (0, 0.5, 0.8 and
-0.95 for the default grid). Each item's blend less a relevant item's is
-linear in w, so at a weight between two anchors a row is decided by what
-the filter proved at the two: an item above the best relevant score at
-both stays above it between them, and one not below the lead relevant
-score at either stays below it. A row's base rank there is its count of
-items above at both: k of them make it a miss, and at most k items not
-below the lead at either make it a hit. Only the other rows, a few percent
-of them inside the default grid's dense tail, need more: their open cells,
-not below the lead at either anchor and not above at both, are queued at
-the weights between.
+The filter ranks every row only at the grid's anchors: its ends and both
+ends of every gap wider than the mean spacing (0, 0.5, 0.8 and 0.95 for
+the default grid). Each item's blend less a relevant item's is linear in
+w, so at a weight between two anchors a row is decided by what the filter
+proved at the two: an item above the best relevant score at both stays
+above it between them, and one not below the lead relevant score at
+either stays below it. A row's base rank there is its count of items
+above at both: k of them make it a miss, and at most k items not below the
+lead at either (the lead is one) make it a hit. Only the other rows, a few
+percent of them inside the default grid's dense tail, need more: their
+open cells, not below the lead at either anchor and not above at both, are
+queued at the weights between.
 """
 
 from __future__ import annotations
@@ -158,11 +157,11 @@ def _blend(w, s: np.ndarray, t: np.ndarray, out=None, part=None) -> np.ndarray:
     return np.add(out, part, out=out)
 
 
-# The guard band of the k > 1 sweep's float32 filter, which
-# metrics._band_ranks tests as the band [-g, g]. Let u = 2**-24, float32's
-# unit roundoff, and M = w*max|S_blk| + (1-w)*max|T_blk| for a block and
-# weight. Row by row, the filter value x_j of item j approximates
-# a_j - v, the float64 blend at j minus the query's best relevant score v:
+# The guard band of the sweep's float32 filter, which metrics._band_ranks
+# tests as the band [-g, g]. Let u = 2**-24, float32's unit roundoff, and
+# M = w*max|S_blk| + (1-w)*max|T_blk| for a block and weight. Row by row,
+# the filter value x_j of item j approximates a_j - v, the float64 blend at
+# j minus the query's best relevant score v:
 # - dS_j = f32(s_j - s_lead) with |s_j - s_lead| <= 2*max|S_blk| is off by
 #   u (plus 2**-53 from the float64 difference), f32(w) by u, and their
 #   product rounds once more: at most 3u * 2w*max|S_blk|. The T term adds
@@ -234,10 +233,12 @@ _ZERO_GUARD = 4 * 2.0**-53
 _FLOOR_REL, _FLOOR_ABS = 2.0**-50, 2.0**-1070
 # A block is ranked from its candidate cells alone when they are at most
 # 1/_SPARSE of its cells. Ranking a queued cell at all ten default weights
-# costs about 106-168 ns, against 11-12 ns per cell for the block path and
-# about 1.5 ns per cell for the candidate search (2-core Xeon, numpy 2.4;
-# 62,000 queued cells of a 1000 x 1000 sweep at R@1 and R@5), so break-even
-# lies between about 1/18 and 1/10 of a block's cells, and 1/16 inside that.
+# costs about 97-146 ns, against 10-13 ns per cell for the block path; the
+# candidate search, 3.4-4.5 ns per cell, is paid before either (2-core Xeon,
+# numpy 2.4; quartiles of 15 sweeps of a 1000 x 1000 input with 62,000
+# candidates, the same at R@1 and R@5, its block path timed with the
+# prefilter off). So break-even lies between about 1/15 and 1/8 of a
+# block's cells, and 1/16 takes only blocks whose cells cost less.
 _SPARSE = 16
 
 
@@ -332,7 +333,7 @@ def _drain(queue: dict, limit: int, s, t, weights, best, first, ranks, scratch: 
 
 
 def _anchors(weights: tuple) -> list:
-    """The indices of the grid's anchors: the weights the k > 1 sweep ranks in full.
+    """The indices of the grid's anchors: the weights the sweep ranks in full.
 
     They are the first and last weights and both ends of every gap wider
     than the mean spacing ``(w_last - w_first) / len(weights)``; a grid of
@@ -426,9 +427,9 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     1. A block whose rows of s are all +-0 (the first fusion step) has been
        ranked once for the whole grid by :func:`_zero_ranks`: at every
        w < 1 within the float32 bounds, its rows rank as in t itself.
-    2. At k > 1, a weight between two anchors (:func:`_anchors`) where the
-       float32 filter runs at both is decided by what the filter proved at
-       the two (:func:`_undecided`): an entry proven above its row's best
+    2. A weight between two anchors (:func:`_anchors`) where the float32
+       filter runs at both is decided by what the filter proved at the two
+       (:func:`_undecided`): an entry proven above its row's best
        relevant score at both anchors is above it at every w between them,
        and one not proven below its lead relevant score at either is below
        it (see ``_GUARD``). Each row's base rank there is its count of
@@ -436,8 +437,8 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
        or with at most k entries ahead at either anchor (a hit). The other
        rows queue their open cells, ahead at either anchor and not above
        at both, at the weights between.
-    3. At k > 1, within the float32 bounds, the float32 filter: the block is
-       copied to float32 once, less each row's lead (first) relevant score,
+    3. Within the float32 bounds, the float32 filter: the block is copied
+       to float32 once, less each row's lead (first) relevant score,
        blended at every w, at half the bytes, and less each row's offset
        from that lead to its best relevant blend. Its entries above a guard
        band that bounds the rounding error are counted by
@@ -447,14 +448,12 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     4. Otherwise the rows are blended in float64 at that w.
 
     Rules 1 and 3 also find the rows with a second entry in their band, and
-    those rows alone go on to rule 4. A float64 blend is ranked exactly: at
-    k = 1 by its rows' ``argmax``, the lowest index of each row's maximum,
-    which is a hit (rank 0) exactly when it is the row's lowest best
-    relevant item, and at k > 1 by :func:`rankfuse.metrics._count_ranks`. A
-    block at k = 1 has half the cells of one at k > 1, whose float32 copies
-    have the bytes of a float64 block. The float32 buffers and the proof
-    masks are made when a block first reaches the filter, so a sweep that
-    the zero shortcut or the prefilter takes whole never makes them.
+    those rows alone go on to rule 4, whose float64 blend is ranked exactly
+    by :func:`rankfuse.metrics._count_ranks`. A block holds twice
+    ``_BLOCK_CELLS`` cells, so that its float32 copies have the bytes of a
+    cache-sized float64 block. The float32 buffers and the proof masks are
+    made when a block first reaches the filter, so a sweep that the zero
+    shortcut or the prefilter takes whole never makes them.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
@@ -470,20 +469,18 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     t_best = _best_relevant(tp, gt)[0]
     ends = np.append(gt._starts, len(sp))
     # Each weight between two anchors, mapped to the two, and the second
-    # anchor of each such pair, mapped to the first; only k > 1 has anchors.
-    anchors = _anchors(weights) if k > 1 else []
+    # anchor of each such pair, mapped to the first.
+    anchors = _anchors(weights)
     between = {i: (a, b) for a, b in zip(anchors, anchors[1:]) for i in range(a + 1, b)}
     closes = {b: a for a, b in between.values()}
-    rows = _block_rows(t.shape, _BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS)
+    rows = _block_rows(t.shape, 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
     # numpy sums uint8 into uint16 faster than into uint32. The base rank of
     # a queued cell's row is 0 where the walk writes none.
     ranks = np.zeros((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
     above, sure = np.empty(rows, ranks.dtype), np.empty(rows, ranks.dtype)
-    if k > 1:
-        lead = gt._starts
-        s_lead, t_lead, vals_lead = sp[lead], tp[lead], vals[:, lead]
+    s_lead, t_lead, vals_lead = sp[gt._starts], tp[gt._starts], vals[:, gt._starts]
     # The proof masks of two anchors that bound weights, consecutive anchors
     # taking turns, after the four float32 buffers; all made on first use.
     turn = {a: 4 + j % 2 for j, a in enumerate(anchors) if {a - 1, a + 1} & between.keys()}
@@ -505,7 +502,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             if sparse:
                 queue.setdefault((0, len(weights)), []).append(cells + lo * m)
                 continue
-        fits = k > 1 and not zero
+        fits = not zero
         if fits:
             s_max, t_max = _magnitude(sq), _magnitude(tq)
             fits = max(s_max, t_max) <= _F32_MAX
@@ -541,8 +538,8 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             if rest is q or len(rest):
                 sr, tr = s[rest], t[rest]
                 c = len(sr)
-                x, f = _blend(w, sr, tr, out=blend[:c], part=part[:c]), first[i, rest]
-                ranks[i, rest] = np.argmax(x, axis=1) != f if k == 1 else _count_ranks(x, best[i, rest], f)
+                x = _blend(w, sr, tr, out=blend[:c], part=part[:c])
+                ranks[i, rest] = _count_ranks(x, best[i, rest], first[i, rest])
     _drain(queue, 0, s, t, weights, best, first, ranks, flat)
     hits = np.count_nonzero(ranks < k, axis=1)
     return [int(h) / n for h in hits]
@@ -557,16 +554,17 @@ def sweep_weight(
 ) -> tuple[float, float]:
     """Pick the retention weight maximizing the metric of w*s_prev + (1-w)*t_model.
 
-    ``s_prev`` and ``t_model`` are finite float64 arrays of one shape, used
-    as given like those of :func:`rankfuse.metrics.query_ranks`, or
-    ``ScoreMatrix`` objects. Every w in the grid is scored by the recall
-    kernel of :mod:`rankfuse.metrics` on the plain blend; ties go to the
-    smallest w. The sweep walks blocks of query rows and scores the whole
-    grid on each block while it is in cache, so it never builds a full-size
-    blend; the values are the same as ranking each full blend with
-    :func:`rankfuse.metrics.query_ranks`.
+    ``s_prev`` and ``t_model`` are ``ScoreMatrix`` objects or matrices of
+    one shape: a 2-D float64 array is used as given and trusted to be
+    finite, like those of :func:`rankfuse.metrics.query_ranks`, and any
+    other form is checked (see ``matrix_ops._data``). Every w in the grid
+    is scored by the recall kernel of :mod:`rankfuse.metrics` on the plain
+    blend; ties go to the smallest w. The sweep walks blocks of query rows
+    and scores the whole grid on each block while it is in cache, so it
+    never builds a full-size blend; the values are the same as ranking each
+    full blend with :func:`rankfuse.metrics.query_ranks`.
     """
-    s, t = _data(s_prev), _data(t_model)
+    s, t = _data(s_prev, "s_prev"), _data(t_model, "t_model")
     if s.shape != t.shape:
         raise ShapeError(f"score matrices differ in shape: {s.shape} vs {t.shape}")
     _check_covers(t.shape, gt)
@@ -585,7 +583,7 @@ def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool)
     result, so a fold may write over it without touching ``x``. A span that
     cannot be rescaled raises ``ValidationError`` prefixed with ``what``.
     """
-    data = _data(x)
+    data = _data(x, what)
     if shape is not None and data.shape != shape:
         raise ShapeError(f"{what} has shape {data.shape}, expected {shape}")
     if not normalize:
@@ -609,7 +607,7 @@ def iterative_ensemble(
 
     Parameters
     ----------
-    models : sequence of ScoreMatrix or finite float64 arrays
+    models : sequence of ScoreMatrix or matrices
         At least one matrix; all the same shape. Fusion order matters and is
         taken as given. ``models[i]`` is read once, when step i starts, and
         its shape is checked then, so a lazy sequence (one whose items are
@@ -624,16 +622,16 @@ def iterative_ensemble(
         Min-max rescale each input matrix (and ``init_matrix``) to [0, 1]
         when its step starts. Heterogeneous models score on wildly different
         scales, so this is on by default; turn it off for raw convex fusion.
-    init_matrix : ScoreMatrix or finite float64 array, optional
+    init_matrix : ScoreMatrix or matrix, optional
         Starting accumulator instead of the zero matrix, for studying
         warm-started fusion. It is never modified, and this call lets go of
         it once step 1 has copied it into the accumulator.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
-    Arrays, told apart from ``ScoreMatrix`` by ``isinstance(x, np.ndarray)``
-    as in :func:`sweep_weight`, are trusted to be finite float64, like the
-    data of a ``ScoreMatrix``; only the fused matrix is validated, once. A
+    A 2-D float64 array is trusted to be finite, like the data of a
+    ``ScoreMatrix``, as in :func:`sweep_weight`, and any other form is
+    checked when its step starts; only the fused matrix is validated, once. A
     model whose values span more than the float64 maximum raises
     ``ValidationError`` with a message starting ``model i: `` (``init
     matrix: `` for ``init_matrix``). A fused matrix that overflows (possible

@@ -54,12 +54,16 @@ def _row_blocks(n: int, rows: int):
 def _as_matrix(data, what: str) -> np.ndarray:
     """``data`` as a 2-D float64 array with at least one row and column, all finite.
 
-    A float64 array comes back as itself, with no copy. The finite check
-    walks row blocks through one reused bool buffer, so it builds no
-    temporary as large as the matrix; the error still names the first
-    non-finite cell by its (row, column) in the whole matrix.
+    A float64 array comes back as itself, with no copy. Data numpy cannot
+    turn into float64 (a ragged list, strings) raises ``ValidationError``.
+    The finite check walks row blocks through one reused bool buffer, so it
+    builds no temporary as large as the matrix; the error still names the
+    first non-finite cell by its (row, column) in the whole matrix.
     """
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a matrix of numbers: {exc}") from None
     if arr.ndim != 2:
         raise ShapeError(f"{what} must be 2-D, got shape {arr.shape}")
     n, m = arr.shape
@@ -84,16 +88,21 @@ def _check_row_sums(arr: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} row {i} sums to {sums[i]!r}, expected 1 within 1e-9")
 
 
-def _data(x) -> np.ndarray:
-    """The matrix behind ``x``: ``x`` itself if it is an ndarray, else ``x.data``.
+def _data(x, what: str) -> np.ndarray:
+    """The matrix behind ``x``, an entry point's argument ``what``.
 
-    Entry points that take a wrapper or a plain array tell them apart by
-    ``isinstance(x, np.ndarray)``, never by the wrapper's type:
-    ``perfbench/tracer.py`` swaps wrapper names for functions. An array is
-    trusted to be 2-D, finite float64, like a wrapper's data, so a caller
-    that holds checked data pays no second scan.
+    A wrapper's ``data`` and a 2-D float64 array are trusted to be finite,
+    so a caller that holds checked data pays no scan, only a constant-time
+    look at the type, shape and dtype. Anything else (a list, or an array of
+    another shape or dtype) goes through :func:`_as_matrix`, which converts
+    it or raises a ``RankfuseError`` naming ``what``. Wrappers are told
+    apart by ``isinstance(x, np.ndarray)``, never by their type:
+    ``perfbench/tracer.py`` swaps wrapper names for functions.
     """
-    return x if isinstance(x, np.ndarray) else x.data
+    data = x if isinstance(x, np.ndarray) else getattr(x, "data", x)
+    if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
+        return data
+    return _as_matrix(data, what)
 
 
 def _finite(cls, data: np.ndarray):
@@ -289,7 +298,7 @@ def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:
 def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     """The k largest entries of each row, in descending order.
 
-    ``s`` is a ``ScoreMatrix`` or a finite float64 array (see ``_data``).
+    ``s`` is a ``ScoreMatrix`` or a matrix of finite numbers (see ``_data``).
 
     Equal values (``0.0`` and ``-0.0`` included) go to the lower gallery
     index, both in which columns are kept and in their order, so the result
@@ -308,7 +317,7 @@ def topk_rows(s: np.ndarray | ScoreMatrix, k: int) -> TopKResult:
     into the preallocated (n, k) result, so no temporary as large as ``s``
     is built: the largest is one block's bool filter mask.
     """
-    data = _data(s)
+    data = _data(s, "score matrix")
     n, n_cols = data.shape
     if not 1 <= k <= n_cols:
         raise ParameterError(f"k must be in [1, {n_cols}], got {k}")

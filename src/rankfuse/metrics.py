@@ -230,11 +230,12 @@ def metrics_report(
 ) -> RetrievalMetrics:
     """Recall at every k in ``ks``.
 
-    ``s`` is a ``ScoreMatrix`` or a finite float64 array, such as one
-    :func:`rankfuse.io_files.load_matrix` returned. A single
+    ``s`` is a ``ScoreMatrix`` or a matrix: a 2-D float64 array, such as
+    one :func:`rankfuse.io_files.load_matrix` returned, is trusted to be
+    finite, and any other form is checked (see ``matrix_ops._data``). A single
     :func:`query_ranks` pass serves all requested cutoffs.
     """
-    data = _data(s)
+    data = _data(s, "score matrix")
     ks = list(ks)
     bad = [k for k in ks if not _is_integer(k)]
     if bad:

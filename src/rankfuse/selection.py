@@ -81,16 +81,17 @@ def select_topk_features(
     """For each guidance row, pick the k gallery items with the highest score.
 
     Ties go to the lower gallery index. ``guidance`` columns must align with
-    ``features`` rows. Either may be a wrapper or a finite float64 array.
+    ``features`` rows. Either may be a wrapper or a matrix (see
+    ``matrix_ops._data``).
     No (n_queries, k, dim) gather is built here; ``SelectedFeatures.features``
     builds it on first access.
     """
-    bank, n_gallery = _data(features), _data(guidance).shape[1]
-    if n_gallery != bank.shape[0]:
+    bank, guide = _data(features, "features"), _data(guidance, "guidance")
+    if guide.shape[1] != bank.shape[0]:
         raise ShapeError(
-            f"guidance has {n_gallery} columns but feature bank has {bank.shape[0]} rows"
+            f"guidance has {guide.shape[1]} columns but feature bank has {bank.shape[0]} rows"
         )
-    top = topk_rows(guidance, k)
+    top = topk_rows(guide, k)
     return SelectedFeatures(
         indices=top.indices, guidance_scores=top.values, bank=bank, guidance=guidance
     )
@@ -110,7 +111,7 @@ def rerank_selected(selected: SelectedFeatures, match_scores: np.ndarray) -> Sco
             f"match scores shape {scores.shape} does not match selection shape {selected.indices.shape}"
         )
     lo, _ = _value_span(scores, "cannot band the match scores")
-    out = minmax_normalize(_data(selected.guidance))
+    out = minmax_normalize(_data(selected.guidance, "guidance"))
     banded = scores - lo + _CANDIDATE_BAND_OFFSET
     np.put_along_axis(out, selected.indices, banded, axis=1)
     return ScoreMatrix(out)

@@ -31,7 +31,7 @@ GRIDS = {
     "single": (0.9,),
 }
 KS = (1, 2, 3, 5, 10)
-# Two row blocks at k > 1 and three at k = 1, the last of each partial.
+# Two row blocks at every k, the last partial.
 N, M = 180, 400
 
 
@@ -188,7 +188,7 @@ def mixed_sign(rng):
 
 
 def scaled(scale):
-    """A case with rows scaled by ``scale``: the first 100, a whole block at k = 1, and about half of the rest."""
+    """A case with rows scaled by ``scale``: the first 100 and about half of the rest."""
 
     def make(rng):
         gt = multi_relevant(rng, N, M)
@@ -215,8 +215,7 @@ def separated_negative(rng):
 def separated_then_walk(rng):
     """Separated rows up to row 163, then rows that end the prefilter.
 
-    The prefilter takes the first block at k > 1 and two of three at k = 1,
-    and the walk ranks the rest.
+    The prefilter takes the first block and the walk ranks the second.
     """
     (s, t), gt = separated(rng, N, M, (4.0, 3.5))
     return with_misses(rng, s, t, gt, start=163)

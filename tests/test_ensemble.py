@@ -204,9 +204,9 @@ class TestBlockedSweep:
         every other item s = 0.5 + d and t = 0.5 - 9d for a d in (0, 0.05],
         which blends to 0.5 + d(10w - 9): below the relevant item at 0.8 and
         above it at 0.95. Every item is a candidate, so the prefilter stops
-        at the first block, and at Recall@5 the anchors 0.8 and 0.95 leave
-        every row undecided with every cell open, so all n * m cells are
-        queued at the six weights between.
+        at the first block, and at any k below m the anchors 0.8 and 0.95
+        leave every row undecided with every cell open, so all n * m cells
+        are queued at the six weights between.
         """
         d = 0.05 * (1 - rng.random((n, m)))
         s, t = 0.5 + d, 0.5 - 9 * d
@@ -231,7 +231,7 @@ class TestBlockedSweep:
         near_limit = self.near_limit(rng, n, m)
         random = [ScoreMatrix(rng.random((n, m))) for _ in range(2)]
         for (s, t), sparse in ((random, False), (near_limit, True)):
-            # k = 1 takes the argmax hit test, k = 5 the rank count.
+            # One walk, the same at k = 1 and at k = 5.
             for k in (1, 5):
                 tried = record_candidates(monkeypatch)
                 peak = self.traced_peak(s, t, gt, k)
@@ -239,59 +239,62 @@ class TestBlockedSweep:
                 # The prefilter stops at the first random block and takes
                 # every near-limit one.
                 counts = [None if cells is None else len(cells) for cells in tried]
-                assert counts == ([62 * r for r in block_heights(n, m, k)] if sparse else [None])
+                assert counts == ([62 * r for r in block_heights(n, m)] if sparse else [None])
                 # The sweep streams row blocks; a full-size blend would be n * m * 8 bytes.
                 assert peak < n * m * 8
         # The queue of cells stays under two blocks' cells a run of weights,
-        # however many rows the anchors leave undecided.
+        # however many rows the anchors leave undecided, at every k.
         s, t = self.crossing_lines(rng, n, m)
-        queued = dict.fromkeys(DEFAULT_WEIGHT_GRID, 0)
         cell_ranks = ens._cell_ranks
+        for k in (1, 5):
+            queued = dict.fromkeys(DEFAULT_WEIGHT_GRID, 0)
 
-        def counted(s, t, cells, weights, *args):
-            for w in weights:
-                queued[w] += len(cells)
-            return cell_ranks(s, t, cells, weights, *args)
+            def counted(s, t, cells, weights, *args):
+                for w in weights:
+                    queued[w] += len(cells)
+                return cell_ranks(s, t, cells, weights, *args)
 
-        monkeypatch.setattr(ens, "_cell_ranks", counted)
-        peak = self.traced_peak(s, t, gt, 5)
-        monkeypatch.undo()
-        assert queued == {w: n * m if 0.8 < w < 0.95 else 0 for w in DEFAULT_WEIGHT_GRID}
-        assert peak < n * m * 8
+            monkeypatch.setattr(ens, "_cell_ranks", counted)
+            peak = self.traced_peak(s, t, gt, k)
+            monkeypatch.undo()
+            assert queued == {w: n * m if 0.8 < w < 0.95 else 0 for w in DEFAULT_WEIGHT_GRID}
+            assert peak < n * m * 8
 
     def test_no_float32_scratch_at_r5_where_no_block_reaches_the_filter(self, monkeypatch):
         rng = np.random.default_rng(19)
         n = m = 1000
         gt = GroundTruth.identity(n)
         t = ScoreMatrix(rng.random((n, m)))
+        grid = len(DEFAULT_WEIGHT_GRID)
         # An all-zero accumulator takes the zero shortcut in every block, and
         # the near-limit pair the prefilter; neither runs the float32 filter,
-        # whose scratch at R@5 (four float32 buffers and two pairs of bool
-        # masks of a block, 20 bytes a cell: 1.3 MB here) it must not make.
-        rows5 = block_heights(n, m, 5)[0]
-        run_cells = (rows5 - block_heights(n, m, 1)[0]) * m
+        # whose scratch (four float32 buffers and two pairs of bool masks of
+        # a block, 20 bytes a cell: 1.3 MB here) it must not make.
+        cells = block_heights(n, m)[0] * m
         cases = [
             ((ScoreMatrix(np.zeros((n, m))), t), 0),
             # The prefilter queues each block's candidates, 62,000 flat
-            # indices here, and ranks them whenever they reach a block's cells
-            # and at the end, half a block's cells at a time. At R@5 the
-            # joined queue holds at most run_cells more of them (8 bytes each)
-            # than at R@1, and a slice run_cells / 2 more, each with a row and
-            # a column index and, if every cell ties, four index arrays over
-            # the ties (48 bytes; its s and t go into the blend scratch): 32
-            # bytes a run cell, within 40.
-            (self.near_limit(rng, n, m), 40 * run_cells),
+            # indices here, and drains them once they reach a block's cells:
+            # fewer than 17/16 of a block's cells, 8.5 bytes a block cell,
+            # which the drain joins into one copy. Each half-block slice of
+            # the joined cells then adds a row and a column index and at most
+            # one gathered row index a cell, 12 bytes a block cell: 20.5 in
+            # all, within 21.
+            (self.near_limit(rng, n, m), 21 * cells),
         ]
         filter_ranks = ens._filter_ranks
-        for (s, t), slack in cases:
+        for (s, t), queue in cases:
             filtered = []
             monkeypatch.setattr(ens, "_filter_ranks", lambda *args: filtered.append(args) or filter_ranks(*args))
-            peak1, peak5 = (self.traced_peak(s, t, gt, k) for k in (1, 5))
+            peaks = [self.traced_peak(s, t, gt, k) for k in (1, 5)]
             monkeypatch.undo()
             assert not filtered
-            # The R@1 peak, plus an R@5 block of float64 blend and scratch and
-            # a bool mask, 17 bytes a cell.
-            assert peak5 < peak1 + 17 * rows5 * m + slack
+            # The walk's own buffers: a block of float64 blend and scratch and
+            # a bool mask (17 bytes a cell), and per weight and row at most
+            # eight float64 or int64 values (the relevant blends, each row's
+            # best and lead relevant blend and item, the ranks and their
+            # temporaries), and the queue.
+            assert max(peaks) < 17 * cells + 64 * grid * n + queue
 
     @staticmethod
     def with_max_at(rng, shape, columns):
@@ -390,7 +393,7 @@ class TestBlockedSweep:
 
 
 def record_reranks(monkeypatch) -> dict:
-    """Per weight, the ``first`` items of each call of the k > 1 sweep's float64 rank kernel.
+    """Per weight, the ``first`` items of each call of the sweep's float64 rank kernel.
 
     ``first`` is each row's lowest best relevant item: its query under
     identity truth, and its one relevant item under single-item truth. The
@@ -476,7 +479,7 @@ def exact_undecided_rows(s, t, gt, wa, wb, k) -> np.ndarray:
 
 
 class TestFloat32Filter:
-    """The k > 1 sweep's float32 pass, its guard band and its float64 re-rank.
+    """The sweep's float32 pass, its guard band and its float64 re-rank.
 
     Every case is checked against the per-point ``query_ranks`` sweep and a
     stable-sort rank. The re-rank is watched through ``_count_ranks``, which
@@ -487,7 +490,7 @@ class TestFloat32Filter:
     GRIDS = [(0.0, 0.25, 0.5, 0.9, 0.95, 1.0), (0.0, 1.0)]
 
     def ks(self, m):
-        return (2, 5, m)
+        return (1, 2, 5, m)
 
     def test_magnitudes_past_float32_take_float64_without_warning(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -675,9 +678,9 @@ def record_candidates(monkeypatch) -> list:
     return tried
 
 
-def block_heights(n: int, m: int, k: int) -> list:
-    """The heights of the sweep's row blocks over an n x m matrix at Recall@k."""
-    rows = (_BLOCK_CELLS if k == 1 else 2 * _BLOCK_CELLS) // m
+def block_heights(n: int, m: int) -> list:
+    """The heights of the sweep's row blocks over an n x m matrix, the same at every k."""
+    rows = 2 * _BLOCK_CELLS // m
     return [min(rows, n - lo) for lo in range(0, n, rows)]
 
 
@@ -776,38 +779,32 @@ class TestZeroAccumulator:
         s, t = rng.random((n, m)), rng.random((n, m))
         gt = GroundTruth(relevant=tuple({int(i)} for i in rng.integers(0, m, n)), gallery_size=m)
         grid = DEFAULT_WEIGHT_GRID
-        # k = 1 walks blocks of _BLOCK_CELLS cells, k > 1 of twice that.
-        for k, cells in ((1, _BLOCK_CELLS), (5, 2 * _BLOCK_CELLS)):
-            blocks = -(-n // (cells // m))
+        # Every k walks blocks of 2 * _BLOCK_CELLS cells.
+        rows = 2 * _BLOCK_CELLS // m
+        for k in (1, 5):
             counted = record_band_counts(monkeypatch)
             reranked = record_reranks(monkeypatch)
             blended = record_blends(monkeypatch)
             _sweep_values(np.zeros((n, m)), t, gt, grid, k)
-            assert len(counted) == blocks and sum(counted) == n
+            assert len(counted) == -(-n // rows) and sum(counted) == n
             # No near ties: no row is blended or ranked again at any weight.
             assert not reranked and not blended
             monkeypatch.undo()
-            # A nonzero s: none at k = 1, where each block is blended once per
-            # weight instead. At k > 1, one count per block at each of the
-            # anchors 0, 0.5, 0.8 and 0.95, and none at the six weights
-            # between 0.8 and 0.95, which rank the undecided rows' open cells.
+            # A nonzero s: one count per block at each of the anchors 0, 0.5,
+            # 0.8 and 0.95, and none at the six weights between 0.8 and 0.95,
+            # which rank the undecided rows' open cells.
             counted = record_band_counts(monkeypatch)
-            blended = record_blends(monkeypatch)
             queued = record_cell_ranks(monkeypatch)
             _sweep_values(s, t, gt, grid, k)
-            if k == 1:
-                assert not counted and not queued
-                assert len(blended) == blocks * len(grid) and sum(blended) == n * len(grid)
-            else:
-                assert counted == default_grid_band_counts(n, cells // m)
-                open_cells = exact_undecided_cells(s, t, gt, 0.8, 0.95, k)
-                for w in grid[3:9]:
-                    assert np.array_equal(reranked_at(queued, w), open_cells)
+            assert counted == default_grid_band_counts(n, rows)
+            open_cells = exact_undecided_cells(s, t, gt, 0.8, 0.95, k)
+            for w in grid[3:9]:
+                assert np.array_equal(reranked_at(queued, w), open_cells)
             monkeypatch.undo()
 
 
 def default_grid_band_counts(n: int, rows: int) -> list:
-    """The rows of each band count of a k > 1 default-grid sweep over blocks of ``rows`` rows.
+    """The rows of each band count of a default-grid sweep over blocks of ``rows`` rows.
 
     Each block is counted whole at the anchors 0, 0.5, 0.8 and 0.95. The six
     weights between 0.8 and 0.95 count no band: they rank the rows those
@@ -1140,7 +1137,7 @@ class TestCandidatePrefilter:
                 reranked = record_reranks(monkeypatch)
                 _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, k)
                 monkeypatch.undo()
-                assert len(tried) == len(block_heights(n, m, k))
+                assert len(tried) == len(block_heights(n, m))
                 assert all(cells is not None for cells in tried)
                 assert not blended and not counted and not reranked
 
@@ -1170,11 +1167,13 @@ class TestSweepCorpus:
     k - 1 or a hit at k + 1 entries or returning every ahead cell as open,
     queued cells set over its first anchor too or over a base rank other
     than 0, and ``_cell_ranks`` writing its count instead of adding it.
-    About 5 s.
+    The R@1 entries take the anchors too, and catch the first two of the
+    ``_undecided`` mutations at k = 1; the third changes nothing there, as
+    an undecided row then has no entry above at both anchors. About 5 s.
     """
 
     SLICE = {
-        "continuous": [("default", 2), ("linspace21", 10)],
+        "continuous": [("default", 1), ("default", 2), ("linspace21", 10)],
         "quantised": [("default+1", 5), ("irregular", 1), ("single", 1)],
         "twins": [("irregular", 2), ("default", 10)],
         "zero_twins": [("default", 1), ("linspace21", 2)],
@@ -1192,7 +1191,7 @@ class TestSweepCorpus:
         "separated_then_walk": [("default", 1), ("default", 5)],
         "at_floor": [("default", 2)],
         "below_floor": [("default", 1)],
-        "crossing": [("default", 3), ("tiny", 2)],
+        "crossing": [("default", 1), ("default", 3), ("tiny", 1), ("tiny", 2)],
         "near_k": [("default", 5), ("single", 5)],
     }
 
@@ -1217,7 +1216,7 @@ class TestSweepCorpus:
             monkeypatch.undo()
             assert any(cells is not None for cells in tried)
             lo = 0
-            for cells, rows in zip(tried, block_heights(n, m, k)):
+            for cells, rows in zip(tried, block_heights(n, m)):
                 taken = np.flatnonzero(top[lo : lo + rows] >= floor[lo : lo + rows, None])
                 if cells is None:
                     assert len(taken) * ens._SPARSE > rows * m

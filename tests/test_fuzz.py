@@ -1,4 +1,4 @@
-"""Seeded input fuzz through the CLI.
+"""Seeded input fuzz through the CLI, and malformed matrices at the library's entry points.
 
 Every case corrupts one input file of a small valid instance (a manifest, an
 array file or a CSV file) with a seeded mutation, then runs ``eval``,
@@ -9,16 +9,28 @@ A second gate breaks the header or payload of a later model of a
 three-model ``ensemble``, which checks every header before it loads any
 model and then loads one model per step: each case must exit 1 naming the
 file and write no output.
+
+A third gate feeds each public entry point that takes a score or feature
+matrix something other than a 2-D float64 array: nested lists, int arrays,
+ragged lists, strings, and arrays of another shape. Numbers must be taken
+as the float64 array they convert to, and anything else must end in a
+``RankfuseError`` that names the argument.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 import rankfuse.cli
 from rankfuse.cli import run_cli
+from rankfuse.ensemble import WeightGrid, iterative_ensemble, sweep_weight
+from rankfuse.errors import RankfuseError
 from rankfuse.io_files import write_matrix
+from rankfuse.matrix_ops import topk_rows
+from rankfuse.metrics import GroundTruth, metrics_report
+from rankfuse.selection import select_topk_features
 
 N_QUERIES, N_GALLERY, DIM = 4, 5, 3
 CASES_PER_TARGET = 60
@@ -276,3 +288,47 @@ def test_later_model_broken_exits_1_naming_it(tmp_path, capsys, monkeypatch):
             up_front += 1
         target.write_bytes(valid)
     assert 0 < up_front < 80
+
+
+# Each public entry point with a matrix argument, as (what its errors name,
+# a call that feeds x there and valid inputs everywhere else). The valid
+# score matrix is 3 x 3 under identity truth; the feature bank is 3 x 2.
+_SCORES = np.array([[0.9, 0.2, 0.4], [0.1, 0.3, 0.8], [0.5, 0.6, 0.7]])
+_BANK = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+_GT, _GRID = GroundTruth.identity(3), WeightGrid((0.0, 0.5, 1.0))
+ENTRY_POINTS = {
+    "metrics_report": ("score matrix", lambda x: metrics_report(x, _GT, [1, 2]).r_at),
+    "topk_rows": ("score matrix", lambda x: topk_rows(x, 2).indices.tolist()),
+    "sweep_weight s_prev": ("s_prev", lambda x: sweep_weight(x, _SCORES, _GT, _GRID)),
+    "sweep_weight t_model": ("t_model", lambda x: sweep_weight(_SCORES.T, x, _GT, _GRID)),
+    "iterative_ensemble": ("model 1", lambda x: iterative_ensemble([_SCORES.T, x], _GT, _GRID)[1].steps),
+    "select_topk_features features": ("features", lambda x: select_topk_features(x, _SCORES, 2).indices.tolist()),
+    "select_topk_features guidance": ("guidance", lambda x: select_topk_features(_BANK, x, 2).indices.tolist()),
+}
+# Inputs that are not a matrix of numbers, or not 2-D.
+MALFORMED = {
+    "ragged list": [[0.9, 0.2, 0.4], [0.1, 0.3], [0.5, 0.6, 0.7]],
+    "list of strings": [["a", "b", "c"]] * 3,
+    "object array of strings": np.array([["x", "y", "z"]] * 3, dtype=object),
+    "1-D array": np.array([0.9, 0.2, 0.4]),
+    "3-D array": np.zeros((3, 3, 1)),
+    "None": None,
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_points_take_numbers_in_any_2d_form(entry):
+    _, call = ENTRY_POINTS[entry]
+    x = _BANK if entry.endswith("features") else _SCORES
+    expected = call(x)
+    # Nested lists and int arrays convert to the float64 array.
+    assert call(x.tolist()) == expected
+    assert call((x * 10).astype(np.int64)) == call(x * 10)
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", list(MALFORMED))
+def test_entry_points_reject_malformed_matrices_naming_the_argument(entry, kind):
+    what, call = ENTRY_POINTS[entry]
+    with pytest.raises(RankfuseError, match=re.escape(what)):
+        call(MALFORMED[kind])
