@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import stat
@@ -210,7 +211,12 @@ def _cmd_select(args) -> int:
     rows = f"the rows of {args.features}"
     _check_extent(args.guidance, "column count", guidance.shape[1], features.shape[0], rows)
     selected = select_topk_features(features, guidance, args.k)
-    _write_text(args.out, "".join(",".join(map(str, row)) + "\n" for row in selected.indices.tolist()))
+    idx = selected.indices
+    # Each index in the shortlist is formatted once, into a table the rows read.
+    used = np.flatnonzero(np.bincount(idx.ravel()))
+    digits = np.empty(used[-1] + 1, object)
+    digits[used] = list(map(str, used.tolist()))
+    _write_text(args.out, "".join([",".join(row) + "\n" for row in digits[idx].tolist()]))
     print(f"wrote top-{selected.k} indices for {selected.n_queries} queries to {args.out}")
     return 0
 
@@ -350,7 +356,9 @@ def _cmd_losses_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rankfuse",
         description="Retrieval score-matrix toolkit: similarity, fusion, evaluation.",

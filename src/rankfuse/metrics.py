@@ -50,32 +50,21 @@ class GroundTruth:
     def __post_init__(self):
         if not _is_integer(self.gallery_size) or self.gallery_size < 1:
             raise ParameterError(f"gallery_size must be a positive integer, got {self.gallery_size!r}")
-        sets = []
-        for q, rel in enumerate(self.relevant):
-            try:
-                members = list(rel)
-            except TypeError:
-                raise ValidationError(
-                    f"query {q}: relevant entry {rel!r} is not a collection of gallery indices"
-                ) from None
-            for i in members:
-                if not _is_integer(i):
-                    raise ValidationError(f"query {q}: gallery index {i!r} is not an integer")
-            items = frozenset(int(i) for i in members)
-            if not items:
-                raise ValidationError(f"query {q} has an empty relevant set")
-            for i in items:
-                if not 0 <= i < self.gallery_size:
-                    raise ValidationError(
-                        f"query {q} references gallery index {i}, outside [0, {self.gallery_size})"
-                    )
-            sets.append(items)
+        rows = tuple(self.relevant)
+        flat = list(chain.from_iterable(rows)) if set(map(type, rows)) <= {list, tuple} and all(rows) else ()
+        # One pass proves every entry a non-empty list or tuple of plain ints
+        # in range, whose frozenset is the one the per-query checks build;
+        # any other input takes those checks, which name the first fault.
+        if flat and set(map(type, flat)) <= {int} and 0 <= min(flat) and max(flat) < self.gallery_size:
+            sets = list(map(frozenset, rows))
+        else:
+            sets = _checked_sets(rows, self.gallery_size)
         if not sets:
             raise ValidationError("ground truth covers no queries")
         object.__setattr__(self, "relevant", tuple(sets))
-        counts = [len(items) for items in sets]
+        counts = np.fromiter(map(len, sets), np.intp, len(sets))
         object.__setattr__(self, "_queries", np.repeat(np.arange(len(sets)), counts))
-        object.__setattr__(self, "_items", np.fromiter(chain.from_iterable(sets), np.int64, sum(counts)))
+        object.__setattr__(self, "_items", np.fromiter(chain.from_iterable(sets), np.int64, counts.sum()))
         # Pairs are grouped by query: query q's pairs start at ``_starts[q]``.
         object.__setattr__(self, "_starts", np.cumsum(counts) - counts)
 
@@ -86,12 +75,40 @@ class GroundTruth:
     @classmethod
     def identity(cls, n: int) -> "GroundTruth":
         """Query i matches gallery item i."""
-        return cls(relevant=tuple({i} for i in range(n)), gallery_size=n)
+        return cls(relevant=tuple((i,) for i in range(n)), gallery_size=n)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping, n_queries: int, gallery_size: int) -> "GroundTruth":
         """Build from {query_index: iterable_of_gallery_indices}."""
         return cls(relevant=tuple(_relevant_rows(mapping, n_queries, int)), gallery_size=gallery_size)
+
+
+def _checked_sets(rows: tuple, gallery_size: int) -> list:
+    """Each query's relevant set, checked one query at a time.
+
+    Raises ``ValidationError`` naming the first query at fault and its fault.
+    """
+    sets = []
+    for q, rel in enumerate(rows):
+        try:
+            members = list(rel)
+        except TypeError:
+            raise ValidationError(
+                f"query {q}: relevant entry {rel!r} is not a collection of gallery indices"
+            ) from None
+        for i in members:
+            if not _is_integer(i):
+                raise ValidationError(f"query {q}: gallery index {i!r} is not an integer")
+        items = frozenset(int(i) for i in members)
+        if not items:
+            raise ValidationError(f"query {q} has an empty relevant set")
+        for i in items:
+            if not 0 <= i < gallery_size:
+                raise ValidationError(
+                    f"query {q} references gallery index {i}, outside [0, {gallery_size})"
+                )
+        sets.append(items)
+    return sets
 
 
 def _relevant_rows(mapping: Mapping, n_queries: int, key) -> list:

@@ -164,6 +164,72 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+class TestParserReuse:
+    """``run_cli`` builds its parser once per process and parses every call with it."""
+
+    def write_pair(self, tmp_path):
+        rng = np.random.default_rng(5)
+        write_matrix(rng.standard_normal((6, 3)), tmp_path / "f.npy")
+        write_matrix(rng.random((4, 6)), tmp_path / "g.npy")
+        write_gt(tmp_path / "gt.json", 4, GroundTruth(relevant=tuple([q] for q in range(4)), gallery_size=6))
+        return {
+            "select": ["select", "--features", str(tmp_path / "f.npy"), "--guidance", str(tmp_path / "g.npy"),
+                       "--k", "3", "--out", str(tmp_path / "sel.csv")],
+            "eval": ["eval", "--scores", str(tmp_path / "g.npy"), "--gt", str(tmp_path / "gt.json"), "--k", "1,2"],
+        }
+
+    def outputs(self, argv, tmp_path, capsys):
+        rc = run_cli(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err, (tmp_path / "sel.csv").read_bytes() if argv[0] == "select" else None
+
+    def test_repeated_calls_match_a_fresh_parser(self, tmp_path, capsys):
+        for argv in self.write_pair(tmp_path).values():
+            rankfuse.cli._build_parser.cache_clear()
+            fresh = self.outputs(argv, tmp_path, capsys)
+            assert fresh[0] == 0
+            assert self.outputs(argv, tmp_path, capsys) == fresh
+            assert self.outputs(argv, tmp_path, capsys) == fresh
+        assert rankfuse.cli._build_parser.cache_info().misses == 1
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        argv = self.write_pair(tmp_path)["eval"]
+        expected = self.outputs(argv, tmp_path, capsys)
+        assert run_cli(["ensemble", "--manifest", "m.json", "--out", "f.npy", "--k-pred", "1"]) == 2
+        assert "unrecognized arguments: --k-pred" in capsys.readouterr().err
+        assert run_cli(["eval", "--scores", "s.npy"]) == 2
+        capsys.readouterr()
+        assert self.outputs(argv, tmp_path, capsys) == expected
+
+    def test_help_text_unchanged(self, capsys):
+        for argv in (["--help"], ["select", "--help"], ["ensemble", "--help"]):
+            rankfuse.cli._build_parser.cache_clear()
+            assert run_cli(argv) == 0
+            first = capsys.readouterr()
+            assert first.out.startswith("usage: rankfuse")
+            assert run_cli(argv) == 0
+            assert capsys.readouterr() == first
+
+    def test_appended_models_do_not_carry_over(self):
+        parser = rankfuse.cli._build_parser()
+        argv = ["ensemble", "--manifest", "m.json", "--out", "f.npy"]
+        assert parser.parse_args([*argv, "--model", "a.npy"]).model == ["a.npy"]
+        assert parser.parse_args(argv).model == []
+
+    def test_patched_loader_and_writer_are_called(self, tmp_path, capsys, monkeypatch):
+        argv = self.write_pair(tmp_path)["select"]
+        assert run_cli(argv) == 0
+        loads = record_loads(monkeypatch)
+        assert run_cli(argv) == 0
+        assert loads == [argv[2], argv[4]]
+        writes = []
+        monkeypatch.setattr(rankfuse.cli, "write_matrix", lambda data, path, *a: writes.append(str(path)))
+        out = tmp_path / "s.npy"
+        assert run_cli(["sim", "--queries", argv[2], "--gallery", argv[2], "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert len(writes) == 1 and loads[2:] == [argv[2], argv[2]]
+
+
 class TestEval:
     def test_worked_example_with_clipping(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -672,6 +738,27 @@ class TestSelectCommand:
         assert hashlib.sha256(data).hexdigest() == (
             "6791fed5075b7ad4ee556f9a386803a9cdcb3d6417ffe63eef6b5240980b3eea"
         )
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_index_widths_bytes(self, n, tmp_path, capsys):
+        # Row q's top seven are 0, 9, 10, 99, 100, 999 and 1000 rotated by
+        # q, so the rows' tops at k = 1, and each row at k > 1, cross every
+        # digit width.
+        rng = np.random.default_rng(8)
+        m = 1001
+        widths = np.array([0, 9, 10, 99, 100, 999, 1000])
+        guidance = rng.random((n, m))
+        for q in range(n):
+            guidance[q, np.roll(widths, q)] = 3.0 - np.arange(len(widths)) / 10
+        write_matrix(rng.standard_normal((m, 2)), tmp_path / "f.npy")
+        write_matrix(guidance, tmp_path / "g.npy")
+        for k in (1, 3, 7, 12):
+            assert run_cli(["select", "--features", str(tmp_path / "f.npy"), "--guidance", str(tmp_path / "g.npy"),
+                            "--k", str(k), "--out", str(tmp_path / "sel.csv")]) == 0
+            capsys.readouterr()
+            expected = "".join(",".join(map(str, row)) + "\n" for row in brute_force_topk(guidance, k).tolist())
+            assert (tmp_path / "sel.csv").read_bytes() == expected.encode()
+        assert set(brute_force_topk(guidance, 1 if n == 7 else 7).ravel()) == set(widths)
 
     def test_tie_heavy_guidance_matches_oracle(self, tmp_path, capsys):
         # Three integer levels, all-equal rows and rows of 0.0 mixed with

@@ -777,7 +777,13 @@ class TestZeroAccumulator:
         rng = np.random.default_rng(46)
         n, m = self.N, self.M
         s, t = rng.random((n, m)), rng.random((n, m))
-        gt = GroundTruth(relevant=tuple({int(i)} for i in rng.integers(0, m, n)), gallery_size=m)
+        gt = self.multi_relevant(rng, n, m)
+        # Every third row's relevant items top it at both anchors, so at
+        # k = 1 a row with two or more of them is left undecided: the
+        # anchors do not prove its lead relevant item first between them.
+        for q in range(0, n, 3):
+            rel = sorted(gt.relevant[q])
+            s[q, rel], t[q, rel] = 1 + rng.random(len(rel)), 1 + rng.random(len(rel))
         grid = DEFAULT_WEIGHT_GRID
         # Every k walks blocks of 2 * _BLOCK_CELLS cells.
         rows = 2 * _BLOCK_CELLS // m
@@ -798,6 +804,7 @@ class TestZeroAccumulator:
             _sweep_values(s, t, gt, grid, k)
             assert counted == default_grid_band_counts(n, rows)
             open_cells = exact_undecided_cells(s, t, gt, 0.8, 0.95, k)
+            assert len(open_cells)
             for w in grid[3:9]:
                 assert np.array_equal(reranked_at(queued, w), open_cells)
             monkeypatch.undo()

@@ -34,6 +34,42 @@ class TestGroundTruth:
         with pytest.raises(ValidationError, match="empty"):
             GroundTruth(relevant=({0}, set()), gallery_size=3)
 
+    @pytest.mark.parametrize("container", [list, tuple])
+    @pytest.mark.parametrize("relevant, message", [
+        (([0], [1, True]), "query 1: gallery index True is not an integer"),
+        (([1.0],), "query 0: gallery index 1.0 is not an integer"),
+        (([0, "2"],), "query 0: gallery index '2' is not an integer"),
+        (([None],), "query 0: gallery index None is not an integer"),
+        (([0], 5), "query 1: relevant entry 5 is not a collection of gallery indices"),
+        (([0], []), "query 1 has an empty relevant set"),
+        (([0], [1, -1]), "query 1 references gallery index -1, outside [0, 3)"),
+        (([3],), "query 0 references gallery index 3, outside [0, 3)"),
+        (([2**70],), f"query 0 references gallery index {2**70}, outside [0, 3)"),
+        # Two faults: the earlier query is named, whichever fault is later
+        # in the order the checks run.
+        (([0], [5], [1.5]), "query 1 references gallery index 5, outside [0, 3)"),
+        (([0], [], [-1]), "query 1 has an empty relevant set"),
+        (([-1], [0], [None]), "query 0 references gallery index -1, outside [0, 3)"),
+    ])
+    def test_messages_of_the_per_query_checks(self, relevant, message, container):
+        rows = tuple(container(r) if isinstance(r, list) else r for r in relevant)
+        with pytest.raises(ValidationError) as info:
+            GroundTruth(relevant=rows, gallery_size=3)
+        assert str(info.value) == message
+
+    def test_numpy_members_and_duplicates(self):
+        rng = np.random.default_rng(3)
+        m = 50
+        rows = [rng.integers(0, m, int(rng.integers(1, 6))) for _ in range(200)]
+        plain = GroundTruth(relevant=tuple(r.tolist() for r in rows), gallery_size=m)
+        for relevant in (tuple(rows), tuple(list(r) for r in rows), tuple(tuple(r.tolist()) for r in rows)):
+            gt = GroundTruth(relevant=relevant, gallery_size=m)
+            assert gt.relevant == plain.relevant
+            for name in ("_queries", "_items", "_starts"):
+                a, b = getattr(gt, name), getattr(plain, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert plain.relevant[0] == frozenset(rows[0].tolist())
+
     def test_from_mapping(self):
         gt = GroundTruth.from_mapping({0: [0], 1: [1, 2]}, n_queries=2, gallery_size=3)
         assert gt.relevant[1] == frozenset({1, 2})
