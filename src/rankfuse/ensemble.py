@@ -61,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, minmax_normalize
+from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, _split_rows, minmax_normalize
 from .matrix_ops import topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
@@ -96,7 +96,10 @@ class WeightGrid:
     weights: tuple = DEFAULT_WEIGHT_GRID
 
     def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
+        try:
+            ws = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError):
+            raise ParameterError(f"weight grid must be a sequence of numbers, got {self.weights!r}") from None
         if not ws:
             raise ParameterError("weight grid is empty")
         if any(not 0.0 <= w <= 1.0 for w in ws):
@@ -576,20 +579,25 @@ def sweep_weight(
     return grid.weights[best_i], values[best_i]
 
 
-def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool) -> np.ndarray:
-    """A new float64 array of ``x``'s scores, min-max rescaled under ``normalize``.
+def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool, out=None) -> np.ndarray:
+    """``x``'s scores, min-max rescaled under ``normalize``, in ``out`` or a new float64 array.
 
-    ``x`` must have ``shape``, unless that is None. The caller owns the
-    result, so a fold may write over it without touching ``x``. A span that
-    cannot be rescaled raises ``ValidationError`` prefixed with ``what``.
+    ``x`` must have ``shape``, unless that is None; ``out``, if given, is a
+    float64 array of that shape that the caller is done with. The caller
+    owns the result, so a fold may write over it without touching ``x``.
+    The copy or the rescale is split across row ranges (see
+    :func:`rankfuse.matrix_ops._split_rows`). A span that cannot be
+    rescaled raises ``ValidationError`` prefixed with ``what``.
     """
     data = _data(x, what)
     if shape is not None and data.shape != shape:
         raise ShapeError(f"{what} has shape {data.shape}, expected {shape}")
+    out = np.empty(data.shape) if out is None else out
     if not normalize:
-        return np.array(data, dtype=np.float64)
+        _split_rows(lambda lo, hi: np.copyto(out[lo:hi], data[lo:hi]), *data.shape)
+        return out
     try:
-        return minmax_normalize(data)
+        return minmax_normalize(data, out)
     except ValidationError as exc:
         raise ValidationError(f"{what}: {exc}") from None
 
@@ -623,9 +631,9 @@ def iterative_ensemble(
         when its step starts. Heterogeneous models score on wildly different
         scales, so this is on by default; turn it off for raw convex fusion.
     init_matrix : ScoreMatrix or matrix, optional
-        Starting accumulator instead of the zero matrix, for studying
-        warm-started fusion. It is never modified, and this call lets go of
-        it once step 1 has copied it into the accumulator.
+        Starting accumulator instead of zeros, for studying warm-started
+        fusion. It is never modified, and this call lets go of it once
+        step 1 has copied it into an accumulator of its own.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
@@ -635,11 +643,21 @@ def iterative_ensemble(
     model whose values span more than the float64 maximum raises
     ``ValidationError`` with a message starting ``model i: `` (``init
     matrix: `` for ``init_matrix``). A fused matrix that overflows (possible
-    only without ``normalize``) raises ``ValidationError`` as well. Each
-    step folds into the accumulator in place, with the step's own copy of
-    its model as scratch, so neither the caller's models nor
-    ``init_matrix`` is written to. The final report covers R@{1, 5, 10}
-    within the gallery plus the tuning metric's k.
+    only without ``normalize``) raises ``ValidationError`` as well. The
+    final report covers R@{1, 5, 10} within the gallery plus the tuning
+    metric's k.
+
+    Each step copies or rescales its model into one step buffer, the one
+    the previous fold is done with, and folds it into the accumulator in
+    place, so neither the caller's models nor ``init_matrix`` is written to,
+    and a 4-model fusion makes two full-size arrays. No zero matrix is
+    made: step 1 sweeps against a read-only zero view, and its fold, the
+    model scaled by ``1 - w``, leaves the step buffer as the accumulator. The
+    rescale, the copy and the folds are whole-matrix numpy passes, which
+    release the GIL, so each is split across row ranges on the usable CPUs
+    (:func:`rankfuse.matrix_ops._split_rows`). The sweep is not: it makes
+    many small numpy calls a block and holds the GIL between them, and two
+    threads made it slower.
 
     Returns
     -------
@@ -652,23 +670,29 @@ def iterative_ensemble(
     if len(ids) != len(models):
         raise ParameterError(f"{len(ids)} model ids for {len(models)} models")
 
-    s = shape = None
+    s = spare = shape = None
     steps = []
     for i, model_id in enumerate(ids):
-        t = _step_matrix(models[i], f"model {i}", shape, normalize)
-        if s is None:
+        # Into the buffer the last fold is done with, once there is one.
+        t = _step_matrix(models[i], f"model {i}", shape, normalize, spare)
+        if shape is None:
             shape = t.shape
-            if init_matrix is None:
-                s = np.zeros(shape)
-            else:
+            if init_matrix is not None:
                 s = _step_matrix(init_matrix, "init matrix", shape, normalize)
                 # The accumulator is a copy: let the warm start go.
                 init_matrix = None
-        w, value = sweep_weight(s, t, gt, grid, metric)
+        w, value = sweep_weight(np.broadcast_to(0.0, shape) if s is None else s, t, gt, grid, metric)
         # Both are this call's own arrays, so the fold writes over them.
-        _blend(w, s, t, out=s, part=t)
-        # Free the spent scratch before the next model is read.
-        del t
+        if s is None:
+            # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0
+            # turns to +0.0; a rescaled model holds no -0.0 to begin with.
+            _split_rows(lambda lo, hi: np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), *shape)
+            if not normalize:
+                _split_rows(lambda lo, hi: np.add(t[lo:hi], 0.0, out=t[lo:hi]), *shape)
+            s = t
+        else:
+            _split_rows(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *shape)
+            spare = t
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
     fused = ScoreMatrix(s)

@@ -2,13 +2,19 @@
 
 The two wrapper types validate the invariants the rest of the library relies
 on (finite entries, 2-D, float64) once, at construction, so downstream code
-can stay plain numpy. Everything here is pure and safe to call concurrently.
+can stay plain numpy. Everything here is pure and safe to call concurrently:
+:func:`_split_rows` starts its threads anew on each call and joins them
+before it returns, so it shares nothing between calls and leaves nothing
+running after ``fork``.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,10 @@ _BLOCK_CELLS = 32768
 # finite scan). Each block is read once, so the cache matters less than the
 # per-block call overhead, which made the top-k slower at 32,768 cells; at
 # 2 MB, the top-k's temporaries (a block's bool filter mask and its fold)
-# stay small beside any matrix large enough to be blocked.
+# stay small beside any matrix large enough to be blocked. It is also the
+# fewest cells a row range of a pass split across threads (see _split_rows)
+# holds: such a pass takes hundreds of microseconds, against about 70 for
+# starting and joining a thread.
 _PASS_CELLS = 262144
 
 
@@ -250,10 +259,56 @@ def cosine_similarity(
     return _finite(ScoreMatrix, unit_a @ unit_b.T)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _split_rows(fn, n_rows: int, n_cols: int) -> None:
+    """Call ``fn(lo, hi)`` on contiguous row ranges that tile ``n_rows`` rows, in parallel.
+
+    There is one range per usable CPU, but none holds fewer than
+    :data:`_PASS_CELLS` cells, so a smaller matrix is one call on this
+    thread. The first range runs here and each other on a thread of its own,
+    inside a copy of this thread's context, so the caller's ``np.errstate``
+    holds there too. Every thread is joined, even on error, and then the
+    exception of the lowest failing range is raised. ``fn`` should spend its
+    time in numpy calls over whole ranges, which release the GIL, and write
+    its results with ``out=``: a thread that allocates much gets a heap of
+    its own from glibc, which stays resident.
+    """
+    parts = max(1, min(_cpus(), n_rows // -(-_PASS_CELLS // n_cols))) if n_cols else 1
+    bounds = [n_rows * i // parts for i in range(parts + 1)]
+    errors = {}
+
+    def run(i):
+        try:
+            fn(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, parts):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
-    """``(min, max - min)`` of ``data``; a span beyond the float64 maximum is
-    rejected with ``ValidationError`` and no numpy overflow warning."""
-    lo, hi = data.min(), data.max()
+    """``(min, max - min)`` of ``data``, each row range's extremes taken on
+    its own thread (see :func:`_split_rows`); a span beyond the float64
+    maximum is rejected with ``ValidationError`` and no numpy overflow
+    warning."""
+    ends = []
+    _split_rows(lambda a, b: ends.append((data[a:b].min(), data[a:b].max())), *data.shape)
+    lo, hi = np.min(ends, axis=0)[0], np.max(ends, axis=0)[1]
     with np.errstate(over="ignore"):
         span = hi - lo
     if not np.isfinite(span):
@@ -263,18 +318,27 @@ def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
     return lo, span
 
 
-def minmax_normalize(data: np.ndarray) -> np.ndarray:
+def minmax_normalize(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros.
 
     A value span beyond the float64 maximum cannot be rescaled and raises
-    ``ValidationError``. The result is a new float64 array, the only one
-    allocated: ``(data - lo) / span`` with the division done in place.
+    ``ValidationError``. The result, ``(data - lo) / span`` with the
+    division done in place, goes into ``out``, a float64 array of
+    ``data``'s shape (``data`` itself included), or else into a new array,
+    the only one allocated. Both passes, the extremes and the rescale, are
+    split across row ranges (see :func:`_split_rows`). A zero minimum is
+    taken as -0.0, so the result holds no -0.0 whichever zero numpy's
+    reduction returns, and a constant matrix, each of whose entries less
+    the minimum is +0.0, is divided by a span of 1.
     """
     lo, span = _value_span(data, "cannot min-max rescale")
-    if span == 0:
-        return np.zeros(data.shape)
-    out = np.subtract(data, lo, dtype=np.float64)
-    return np.divide(out, span, out=out)
+    out = np.empty(data.shape) if out is None else out
+    lo, span = -0.0 if lo == 0 else lo, span or 1.0
+    _split_rows(
+        lambda a, b: np.divide(np.subtract(data[a:b], lo, out=out[a:b], dtype=np.float64), span, out=out[a:b]),
+        *data.shape,
+    )
+    return out
 
 
 def row_softmax(s: ScoreMatrix, tau: float) -> ScoreMatrix:

@@ -1,11 +1,20 @@
 import hashlib
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankfuse.ensemble as ens
+import rankfuse.matrix_ops
 from rankfuse.ensemble import (
     DEFAULT_WEIGHT_GRID,
     RecallAtK,
@@ -1457,6 +1466,163 @@ class TestStreamedFusion:
                     assert fused.data.tobytes() == s.tobytes()
                 assert results[0][0].data.tobytes() == results[1][0].data.tobytes()
                 assert results[0][1] == results[1][1]
+
+
+# Fused bytes of three 4-model fusions (min-max rescaled, raw, and from a
+# warm start) of the instance saved at argv[2]; with "pinned" in argv[1],
+# the process first pins itself to one CPU.
+_FUSED_BYTES = """
+import hashlib, json, os, sys
+import numpy as np
+from rankfuse.ensemble import RecallAtK, WeightGrid, iterative_ensemble
+from rankfuse.metrics import GroundTruth
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+saved = np.load(sys.argv[2])
+mats, init = [saved[f"model{i}"] for i in range(4)], saved["init"]
+gt = GroundTruth(relevant=tuple(map(tuple, saved["relevant"].tolist())), gallery_size=init.shape[1])
+out = {"cpus": len(os.sched_getaffinity(0))}
+for name, normalize, start in (("normalize", True, None), ("raw", False, None), ("init", True, init)):
+    fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
+    out[name] = [hashlib.sha256(fused.data.tobytes()).hexdigest(), [s.chosen_w for s in trace.steps]]
+print(json.dumps(out))
+"""
+
+
+def split_instance(n: int, m: int):
+    """Four n x m models, a warm start, and the (n, 2) relevant items of each query.
+
+    Every model holds -0.0 in three cells, and the first also the smallest
+    subnormal below zero, which a step-1 scale can round to -0.0. A raw
+    fusion must turn them to +0.0 at step 1, as ``w * 0 + (1 - w) * t``
+    does, and later folds keep the sign of those all -0.0 cells.
+    """
+    rng = np.random.default_rng(41)
+    mats = [rng.uniform(-3, 5, (n, m)) for _ in range(4)]
+    for mat in mats:
+        mat[0, :3] = -0.0
+    mats[0][1, :3] = -5e-324
+    init = rng.uniform(-1, 2, (n, m))
+    relevant = np.array([rng.choice(m, 2, replace=False) for _ in range(n)])
+    return mats, init, relevant
+
+
+def rebuilt_bytes(mats, init, normalize: bool, weights) -> str:
+    """The sha256 of the fused matrix rebuilt out of place, one whole-matrix numpy call a pass."""
+    prep = (lambda x: (x - x.min()) / (x.max() - x.min())) if normalize else (lambda x: x)
+    s = np.zeros(mats[0].shape) if init is None else prep(init)
+    for m, w in zip(mats, weights):
+        s = w * s + (1.0 - w) * prep(m)
+    return hashlib.sha256(s.tobytes()).hexdigest()
+
+
+def force_split(monkeypatch, cpus: int) -> None:
+    """Have ``matrix_ops._split_rows`` see ``cpus`` CPUs and split ranges of 2 cells or more."""
+    monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", 2)
+
+
+class TestSplitFusion:
+    """Fusion passes split across row ranges give the bytes of whole-matrix passes."""
+
+    CONFIGS = (("normalize", True, False), ("raw", False, False), ("init", True, True))
+
+    @staticmethod
+    def fused(mats, init, relevant, normalize, with_init) -> bytes:
+        gt = GroundTruth(relevant=tuple(map(tuple, relevant.tolist())), gallery_size=init.shape[1])
+        start = init if with_init else None
+        fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
+        return fused.data.tobytes() + repr(trace).encode()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_bytes_pinned_to_one_cpu_and_unpinned(self, tmp_path):
+        # 600 x 1000 splits into two ranges wherever two CPUs are usable.
+        mats, init, relevant = split_instance(600, 1000)
+        saved = tmp_path / "instance.npz"
+        np.savez(saved, init=init, relevant=relevant, **{f"model{i}": m for i, m in enumerate(mats)})
+        src = str(Path(ens.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", _FUSED_BYTES, pin, str(saved)],
+                capture_output=True, text=True, timeout=300, check=True,
+                env={**os.environ, "PYTHONPATH": pythonpath},
+            ).stdout)
+            for pin in ("pinned", "unpinned")
+        ]
+        assert runs[0].pop("cpus") == 1
+        runs[1].pop("cpus")
+        assert runs[0] == runs[1]
+        for name, normalize, with_init in self.CONFIGS:
+            digest, weights = runs[0][name]
+            assert digest == rebuilt_bytes(mats, init if with_init else None, normalize, weights)
+
+    def test_four_models_make_two_full_size_arrays(self, monkeypatch):
+        # 400 x 200 is past one sweep block, so only the step buffers are full-size.
+        mats, init, relevant = split_instance(400, 200)
+        made, empty = [], np.empty
+
+        def counted(shape, dtype=float, *args, **kwargs):
+            if tuple(np.atleast_1d(shape)) == (400, 200) and np.dtype(dtype) == np.float64:
+                made.append(shape)
+            return empty(shape, dtype, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counted)
+        for _, normalize, with_init in self.CONFIGS:
+            made.clear()
+            self.fused(mats, init, relevant, normalize, with_init)
+            # The step buffer and the accumulator: model 0's buffer, or the warm start's copy.
+            assert len(made) == 2
+
+    def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
+        mats, init, relevant = split_instance(30, 20)
+        force_split(monkeypatch, 1)
+        want = [self.fused(mats, init, relevant, *c[1:]) for c in self.CONFIGS]
+        force_split(monkeypatch, 3)
+        got, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(4):
+                    got.append([self.fused(mats, init, relevant, *c[1:]) for c in self.CONFIGS])
+            except BaseException as exc:
+                errors.append(exc)
+
+        # Two callers of three ranges each: more threads than cores, switched often.
+        callers = [threading.Thread(target=caller) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        assert got == [want] * 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_fuses_after_a_split_fusion(self, monkeypatch):
+        mats, init, relevant = split_instance(30, 20)
+        force_split(monkeypatch, 3)
+        want = self.fused(mats, init, relevant, True, True)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if self.fused(mats, init, relevant, True, True) == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its fusion")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestHelpers:

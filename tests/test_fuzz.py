@@ -14,7 +14,8 @@ A third gate feeds each public entry point that takes a score or feature
 matrix something other than a 2-D float64 array: nested lists, int arrays,
 ragged lists, strings, and arrays of another shape. Numbers must be taken
 as the float64 array they convert to, and anything else must end in a
-``RankfuseError`` that names the argument.
+``RankfuseError`` that names the argument. A weight grid that is not a
+sequence of numbers must end in a ``ParameterError`` that names it.
 """
 
 import json
@@ -26,7 +27,7 @@ import pytest
 import rankfuse.cli
 from rankfuse.cli import run_cli
 from rankfuse.ensemble import WeightGrid, iterative_ensemble, sweep_weight
-from rankfuse.errors import RankfuseError
+from rankfuse.errors import ParameterError, RankfuseError
 from rankfuse.io_files import write_matrix
 from rankfuse.matrix_ops import topk_rows
 from rankfuse.metrics import GroundTruth, metrics_report
@@ -332,3 +333,14 @@ def test_entry_points_reject_malformed_matrices_naming_the_argument(entry, kind)
     what, call = ENTRY_POINTS[entry]
     with pytest.raises(RankfuseError, match=re.escape(what)):
         call(MALFORMED[kind])
+
+
+# Weight grids that are not a sequence of numbers.
+MALFORMED_GRIDS = {"string weight": ("a",), "scalar": 0.5, "None": None}
+
+
+@pytest.mark.parametrize("kind", list(MALFORMED_GRIDS))
+def test_weight_grid_rejects_non_numbers_naming_the_value(kind):
+    grid = MALFORMED_GRIDS[kind]
+    with pytest.raises(ParameterError, match=re.escape(repr(grid))):
+        WeightGrid(grid)

@@ -1,3 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +22,10 @@ from rankfuse.matrix_ops import (
     ScoreMatrix,
     _block_rows,
     _finite,
+    _split_rows,
     cosine_similarity,
     l2_normalize_rows,
+    minmax_normalize,
     row_softmax,
     topk_rows,
 )
@@ -364,3 +373,134 @@ class TestL2Normalize:
         rng = np.random.default_rng(8)
         out = l2_normalize_rows(EmbeddingMatrix(rng.standard_normal((40, 6))))
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
+
+
+def force_split(monkeypatch, cpus: int, cells: int = 2) -> None:
+    """Have :func:`_split_rows` see ``cpus`` CPUs and split ranges of at least ``cells`` cells."""
+    monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: cpus)
+    monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", cells)
+
+
+class TestSplitRows:
+    @staticmethod
+    def calls(n: int, m: int) -> list:
+        """The ``(lo, hi, ran on this thread)`` of each call over n x m, in row order."""
+        here, calls = threading.get_ident(), []
+        _split_rows(lambda lo, hi: calls.append((lo, hi, threading.get_ident() == here)), n, m)
+        return sorted(calls)
+
+    def test_rows_covered_once(self, monkeypatch):
+        # Below the threshold: one call on this thread, whatever the CPUs.
+        force_split(monkeypatch, 4, cells=100)
+        assert self.calls(9, 10) == [(0, 9, True)]
+        assert self.calls(19, 10) == [(0, 19, True)]
+        # Ranges of at least 100 cells, one per CPU at most; the first runs
+        # here and every other on a thread of its own.
+        assert self.calls(20, 10) == [(0, 10, True), (10, 20, False)]
+        assert self.calls(43, 10) == [(0, 10, True), (10, 21, False), (21, 32, False), (32, 43, False)]
+        assert self.calls(1000, 1) == [(0, 250, True), (250, 500, False), (500, 750, False), (750, 1000, False)]
+        # One CPU: one call on this thread, however large the matrix.
+        force_split(monkeypatch, 1, cells=100)
+        assert self.calls(1000, 10) == [(0, 1000, True)]
+        # No rows or no columns: one call.
+        force_split(monkeypatch, 4, cells=1)
+        assert self.calls(0, 10) == [(0, 0, True)]
+        assert self.calls(50, 0) == [(0, 50, True)]
+
+    def test_no_range_below_pass_cells(self, monkeypatch):
+        monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: 2)
+        m = 1000
+        rows = -(-_PASS_CELLS // m)
+        assert self.calls(2 * rows - 1, m) == [(0, 2 * rows - 1, True)]
+        assert self.calls(2 * rows, m) == [(0, rows, True), (rows, 2 * rows, False)]
+
+    def test_lowest_failing_range_raised_after_every_range_ran(self, monkeypatch):
+        force_split(monkeypatch, 3)
+        done = []
+
+        def fn(lo, hi):
+            if lo in failing:
+                raise ValueError(f"range at {lo}")
+            # The other ranges outlast a failure on this thread.
+            time.sleep(0.05)
+            done.append(lo)
+
+        for failing in ({0}, {2}, {4}, {2, 4}, {0, 4}):
+            done.clear()
+            threads = threading.active_count()
+            with pytest.raises(ValueError, match=f"^range at {min(failing)}$"):
+                _split_rows(fn, 6, 1)
+            assert sorted(done) == sorted({0, 2, 4} - failing)
+            assert threading.active_count() == threads
+
+    def test_worker_ranges_take_the_callers_errstate(self, monkeypatch):
+        force_split(monkeypatch, 2)
+        # Only the second range, which runs on a new thread, overflows.
+        x = np.array([[1.0], [1.0], [1e300], [1e300]])
+        out = np.empty_like(x)
+
+        def fn(lo, hi):
+            np.multiply(x[lo:hi], 1e300, out=out[lo:hi])
+
+        with np.errstate(over="ignore"):
+            _split_rows(fn, 4, 1)
+        np.testing.assert_array_equal(out, [[1e300], [1e300], [np.inf], [np.inf]])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            _split_rows(fn, 4, 1)
+
+
+class TestSplitMinmax:
+    """``minmax_normalize`` over row ranges gives the bytes of one whole-matrix pass."""
+
+    @staticmethod
+    def whole(x: np.ndarray) -> np.ndarray:
+        lo = x.min()
+        return (x - lo) / (x.max() - lo)
+
+    def test_bytes_in_place_and_into_a_spent_buffer(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        force_split(monkeypatch, 3)
+        for x in (rng.uniform(-7, 3, (11, 5)), rng.standard_normal((40, 1)), rng.random((2, 9)) * 1e300):
+            want = self.whole(x).tobytes()
+            assert minmax_normalize(x).tobytes() == want
+            spent = rng.random(x.shape)
+            assert minmax_normalize(x, out=spent) is spent
+            assert spent.tobytes() == want
+            y = x.copy()
+            minmax_normalize(y, out=y)
+            assert y.tobytes() == want
+
+    def test_constant_matrix_and_zero_signs(self, monkeypatch):
+        force_split(monkeypatch, 2)
+        spent = np.full((6, 2), 7.0)
+        assert minmax_normalize(np.full((6, 2), -3.0), out=spent) is spent
+        assert spent.tobytes() == np.zeros((6, 2)).tobytes()
+        # A zero minimum of either sign, in either range: the result holds no -0.0.
+        x = np.array([[0.0, 1.0], [-0.0, 2.0], [2.0, 0.0], [-0.0, 4.0]])
+        for data in (x, x[::-1].copy(), -x):
+            out = minmax_normalize(data)
+            assert not np.signbit(out).any()
+            np.testing.assert_array_equal(out, self.whole(data))
+
+    def test_span_past_float64_max_same_message(self, monkeypatch):
+        x = np.array([[1e308, 0.0], [2.0, 3.0], [4.0, 5.0], [-1e308, 6.0]])
+        messages = []
+        for cpus in (1, 2):
+            force_split(monkeypatch, cpus)
+            with pytest.raises(ValidationError) as exc:
+                minmax_normalize(x, out=np.empty_like(x))
+            messages.append(str(exc.value))
+        assert messages == ["cannot min-max rescale: the span from -1e+308 to 1e+308 is not finite"] * 2
+
+
+def test_import_loads_no_pool_module():
+    """``import rankfuse`` pulls in no thread pool: the split starts plain threads."""
+    src = str(Path(rankfuse.matrix_ops.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; import numpy; import rankfuse; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
