@@ -30,6 +30,7 @@ from . import losses as ls
 from . import view_sampling as vs
 from .errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from .io_files import (
+    _FORMATS,
     ModelEntry,
     array_shape,
     load_ground_truth,
@@ -366,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p, flag="--format", help="input matrix format (default: by file extension)"):
-        p.add_argument(flag, default="auto", choices=["auto", "array", "csv"], help=help)
+        p.add_argument(flag, default="auto", choices=["auto", *_FORMATS], help=help)
 
     p = sub.add_parser("sim", help="cosine similarity between two embedding files")
     p.add_argument("--queries", required=True)

@@ -250,19 +250,19 @@ def _magnitude(x: np.ndarray) -> float:
     return max(x.max(), -x.min())
 
 
-def _zero_ranks(s: np.ndarray, t: np.ndarray, s_pairs: np.ndarray, v: np.ndarray, mask: np.ndarray, out: np.ndarray):
+def _zero_ranks(s: np.ndarray, t: np.ndarray, s_lead: np.ndarray, v: np.ndarray, mask: np.ndarray, out: np.ndarray):
     """Rank a block whose rows of ``s`` are all +-0 once for the whole grid, else ``None``.
 
-    ``s`` and ``t`` are the block's rows, ``s_pairs`` its relevant-pair
-    values of ``s`` and ``v`` each row's best relevant score in ``t``. A
-    nonzero relevant pair rules the block out before ``s`` is scanned, and
+    ``s`` and ``t`` are the block's rows, ``s_lead`` each row's lead (first)
+    relevant score in ``s`` and ``v`` each row's best relevant score in
+    ``t``. A nonzero lead rules the block out before ``s`` is scanned, and
     so does a ``t`` outside the float32 bounds. Otherwise each row's count
     of entries above its band goes into ``out``: its rank in every blend at
     a weight w < 1 with ``(1 - w) * t_max >= _F32_MIN`` (see
     ``_ZERO_GUARD``). Returns ``t_max`` and the rows with a second entry in
     the band, whose ranks still depend on w.
     """
-    if s_pairs.any() or s.any():
+    if s_lead.any() or s.any():
         return None
     t_max = _magnitude(t)
     if not _F32_MIN <= t_max <= _F32_MAX:
@@ -467,10 +467,8 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     floor = best.min(axis=0)
     floor -= _FLOOR_REL * np.abs(floor) + _FLOOR_ABS
     floor[np.isnan(floor)] = -np.inf
-    # From t alone, for the blocks whose rows of s are all zero; query q's
-    # pairs are sp[ends[q]:ends[q + 1]].
+    # From t alone, for the blocks whose rows of s are all zero.
     t_best = _best_relevant(tp, gt)[0]
-    ends = np.append(gt._starts, len(sp))
     # Each weight between two anchors, mapped to the two, and the second
     # anchor of each such pair, mapped to the first.
     anchors = _anchors(weights)
@@ -482,7 +480,6 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     # numpy sums uint8 into uint16 faster than into uint32. The base rank of
     # a queued cell's row is 0 where the walk writes none.
     ranks = np.zeros((len(weights), n), np.uint16 if m < 2**16 else np.uint32)
-    above, sure = np.empty(rows, ranks.dtype), np.empty(rows, ranks.dtype)
     s_lead, t_lead, vals_lead = sp[gt._starts], tp[gt._starts], vals[:, gt._starts]
     # The proof masks of two anchors that bound weights, consecutive anchors
     # taking turns, after the four float32 buffers; all made on first use.
@@ -497,7 +494,7 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
         _drain(queue, blend.size, s, t, weights, best, first, ranks, flat)
         q, r = slice(lo, hi), hi - lo
         sq, tq = s[q], t[q]
-        zero = _zero_ranks(sq, tq, sp[ends[lo] : ends[hi]], t_best[q], mask[:r], above[:r])
+        zero = _zero_ranks(sq, tq, s_lead[q], t_best[q], mask[:r], ranks[0, q])
         if sparse and not zero:
             # The first block with too many candidates ends the prefilter.
             cells = _candidates(sq, tq, floor[q], blend[:r], mask[:r])
@@ -523,19 +520,19 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
         for i, w in enumerate(weights):
             rest, pair = q, between.get(i)
             if zero and (1.0 - w) * zero[0] >= _F32_MIN:
-                ranks[i, q] = above[:r]
+                # Weight 0, the first where the rule holds, has _zero_ranks' counts.
+                ranks[i, q] = ranks[0, q]
                 rest = zero[1] + lo
             elif pair and guards[pair[0]] and guards[pair[1]]:
                 # Ranked at the pair's second anchor (rule 2).
                 continue
             elif g := guards[i]:
                 proof = i in turn and tuple(scratch[turn[i]][:, :r])
-                band = _filter_ranks(ds, dt, off[i], w, g, x32, part32, mask[:r], above[:r], proof)
-                ranks[i, q], rest = above[:r], band + lo
+                rest = _filter_ranks(ds, dt, off[i], w, g, x32, part32, mask[:r], ranks[i, q], proof) + lo
                 a = closes.get(i)
                 if a is not None and guards[a]:
-                    cells = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, sure[:r])
-                    ranks[a + 1 : i, q] = sure[:r]
+                    cells = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, ranks[a + 1, q])
+                    ranks[a + 2 : i, q] = ranks[a + 1, q]
                     queue.setdefault((a + 1, i), []).append(cells + lo * m)
             # Float64 on the rows left, if any: a block is never empty.
             if rest is q or len(rest):
@@ -617,9 +614,11 @@ def iterative_ensemble(
     ----------
     models : sequence of ScoreMatrix or matrices
         At least one matrix; all the same shape. Fusion order matters and is
-        taken as given. ``models[i]`` is read once, when step i starts, and
-        its shape is checked then, so a lazy sequence (one whose items are
-        loaded when they are read) keeps one model in memory at a time.
+        taken as given. ``models[0]`` is read before the first step, then
+        ``init_matrix``, and each later ``models[i]`` once, when step i
+        starts, with its shape checked then against model 0's, so a lazy
+        sequence (one whose items are loaded when they are read) keeps one
+        model in memory at a time.
     gt : GroundTruth
         Tuning labels for the weight sweeps (caller decides which split).
     grid, metric :
@@ -632,8 +631,8 @@ def iterative_ensemble(
         scales, so this is on by default; turn it off for raw convex fusion.
     init_matrix : ScoreMatrix or matrix, optional
         Starting accumulator instead of zeros, for studying warm-started
-        fusion. It is never modified, and this call lets go of it once
-        step 1 has copied it into an accumulator of its own.
+        fusion. It is never modified, and this call lets go of it once it
+        is copied into an accumulator of its own, before the first step.
     model_ids : sequence of str, optional
         Labels for the trace; defaults to ``model-0``, ``model-1``, ...
 
@@ -651,8 +650,10 @@ def iterative_ensemble(
     the previous fold is done with, and folds it into the accumulator in
     place, so neither the caller's models nor ``init_matrix`` is written to,
     and a 4-model fusion makes two full-size arrays. No zero matrix is
-    made: step 1 sweeps against a read-only zero view, and its fold, the
-    model scaled by ``1 - w``, leaves the step buffer as the accumulator. The
+    made: step 1 sweeps against a read-only zero view, and its fold,
+    ``fl(fl((1 - w) t) + 0.0)`` whatever ``normalize`` is (the ``+ 0.0``
+    turns a raw model's -0.0 to the +0.0 that ``w*0 + (1 - w)*t`` gives),
+    leaves the step buffer as the accumulator. The
     rescale, the copy and the folds are whole-matrix numpy passes, which
     release the GIL, so each is split across row ranges on the usable CPUs
     (:func:`rankfuse.matrix_ops._split_rows`). The sweep is not: it makes
@@ -670,28 +671,23 @@ def iterative_ensemble(
     if len(ids) != len(models):
         raise ParameterError(f"{len(ids)} model ids for {len(models)} models")
 
-    s = spare = shape = None
+    t = _step_matrix(models[0], "model 0", None, normalize)
+    s = None if init_matrix is None else _step_matrix(init_matrix, "init matrix", t.shape, normalize)
+    # The accumulator is a copy: let the warm start go.
+    init_matrix = spare = None
     steps = []
     for i, model_id in enumerate(ids):
-        # Into the buffer the last fold is done with, once there is one.
-        t = _step_matrix(models[i], f"model {i}", shape, normalize, spare)
-        if shape is None:
-            shape = t.shape
-            if init_matrix is not None:
-                s = _step_matrix(init_matrix, "init matrix", shape, normalize)
-                # The accumulator is a copy: let the warm start go.
-                init_matrix = None
-        w, value = sweep_weight(np.broadcast_to(0.0, shape) if s is None else s, t, gt, grid, metric)
+        if i:
+            # Into the buffer the last fold is done with, once there is one.
+            t = _step_matrix(models[i], f"model {i}", t.shape, normalize, spare)
+        w, value = sweep_weight(np.broadcast_to(0.0, t.shape) if s is None else s, t, gt, grid, metric)
         # Both are this call's own arrays, so the fold writes over them.
         if s is None:
-            # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0
-            # turns to +0.0; a rescaled model holds no -0.0 to begin with.
-            _split_rows(lambda lo, hi: np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), *shape)
-            if not normalize:
-                _split_rows(lambda lo, hi: np.add(t[lo:hi], 0.0, out=t[lo:hi]), *shape)
+            # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0 turns to +0.0.
+            _split_rows(lambda lo, hi: np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi]), *t.shape)
             s = t
         else:
-            _split_rows(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *shape)
+            _split_rows(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *t.shape)
             spare = t
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 

@@ -241,11 +241,16 @@ def load_matrix(path, format: str = "array") -> np.ndarray:
 def write_matrix(m, path, format: str = "array") -> None:
     """Write a matrix (ndarray or a wrapper with a ``.data`` array).
 
-    float64 array files round-trip bit-exactly through :func:`load_matrix`.
+    A matrix that is not 2-D, or has no rows or no columns, which
+    :func:`load_matrix` would refuse, raises ``ValidationError`` naming
+    ``path`` and writes nothing. float64 array files round-trip bit-exactly
+    through :func:`load_matrix`.
     """
     arr = np.asarray(getattr(m, "data", m), dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{path}: can only write 2-D matrices, got shape {arr.shape}")
+    if not arr.size:
+        raise ValidationError(f"{path}: cannot write a matrix with no rows or no columns, got shape {arr.shape}")
     _format(format)[1](arr, path)
 
 

@@ -100,16 +100,17 @@ def _check_row_sums(arr: np.ndarray, what: str) -> None:
 def _data(x, what: str) -> np.ndarray:
     """The matrix behind ``x``, an entry point's argument ``what``.
 
-    A wrapper's ``data`` and a 2-D float64 array are trusted to be finite,
-    so a caller that holds checked data pays no scan, only a constant-time
-    look at the type, shape and dtype. Anything else (a list, or an array of
-    another shape or dtype) goes through :func:`_as_matrix`, which converts
+    A wrapper's ``data`` and a 2-D float64 array with at least one row and
+    column are trusted to be finite, so a caller that holds checked data
+    pays no scan, only a constant-time look at the type, shape and dtype.
+    Anything else (a list, an empty array, or an array of another shape or
+    dtype) goes through :func:`_as_matrix`, which converts
     it or raises a ``RankfuseError`` naming ``what``. Wrappers are told
     apart by ``isinstance(x, np.ndarray)``, never by their type:
     ``perfbench/tracer.py`` swaps wrapper names for functions.
     """
     data = x if isinstance(x, np.ndarray) else getattr(x, "data", x)
-    if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64:
+    if isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.float64 and data.size:
         return data
     return _as_matrix(data, what)
 
@@ -318,24 +319,26 @@ def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
     return lo, span
 
 
-def minmax_normalize(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def minmax_normalize(data: np.ndarray | ScoreMatrix, out: np.ndarray | None = None) -> np.ndarray:
     """Affine-rescale a matrix to [0, 1]; a constant matrix maps to zeros.
 
-    A value span beyond the float64 maximum cannot be rescaled and raises
-    ``ValidationError``. The result, ``(data - lo) / span`` with the
-    division done in place, goes into ``out``, a float64 array of
-    ``data``'s shape (``data`` itself included), or else into a new array,
-    the only one allocated. Both passes, the extremes and the rescale, are
+    ``data`` is a ``ScoreMatrix`` or a matrix of finite numbers (see
+    ``_data``), whose errors name it ``matrix``. A value span beyond the
+    float64 maximum cannot be rescaled and raises ``ValidationError``. The
+    result, ``(data - lo) / span`` with the division done in place, goes
+    into ``out``, a float64 array of ``data``'s shape (``data`` itself
+    included), or else into a new array, the only one allocated. Both passes, the extremes and the rescale, are
     split across row ranges (see :func:`_split_rows`). A zero minimum is
     taken as -0.0, so the result holds no -0.0 whichever zero numpy's
     reduction returns, and a constant matrix, each of whose entries less
     the minimum is +0.0, is divided by a span of 1.
     """
+    data = _data(data, "matrix")
     lo, span = _value_span(data, "cannot min-max rescale")
     out = np.empty(data.shape) if out is None else out
     lo, span = -0.0 if lo == 0 else lo, span or 1.0
     _split_rows(
-        lambda a, b: np.divide(np.subtract(data[a:b], lo, out=out[a:b], dtype=np.float64), span, out=out[a:b]),
+        lambda a, b: np.divide(np.subtract(data[a:b], lo, out=out[a:b]), span, out=out[a:b]),
         *data.shape,
     )
     return out

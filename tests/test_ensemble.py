@@ -768,6 +768,19 @@ class TestZeroAccumulator:
                 t[q, i] = np.nextafter(top, np.inf) if rng.random() < 0.5 else top
         self.check(np.zeros((n, m)), t, gt)
 
+    def test_zero_relevant_pairs_over_a_nonzero_block(self):
+        # Every relevant pair of s is zero and every other cell is not, so
+        # only the scan of s itself keeps the block from the zero shortcut.
+        rng = np.random.default_rng(0)
+        t = rng.random((50, 50))
+        s = rng.random((50, 50))
+        np.fill_diagonal(s, 0.0)
+        gt = GroundTruth.identity(50)
+        for k in (1, 5):
+            check_sweep(s, t, gt, k, [DEFAULT_WEIGHT_GRID])
+        # From w = 0.5 on, no relevant item ranks in its row's top 5.
+        assert _sweep_values(s, t, gt, DEFAULT_WEIGHT_GRID, 5)[1:] == [0.0] * 9
+
     def test_magnitudes_past_the_bounds_take_the_per_weight_path(self, monkeypatch):
         rng = np.random.default_rng(45)
         n, m = 40, 300

@@ -14,8 +14,10 @@ A third gate feeds each public entry point that takes a score or feature
 matrix something other than a 2-D float64 array: nested lists, int arrays,
 ragged lists, strings, and arrays of another shape. Numbers must be taken
 as the float64 array they convert to, and anything else must end in a
-``RankfuseError`` that names the argument. A weight grid that is not a
-sequence of numbers must end in a ``ParameterError`` that names it.
+``RankfuseError`` that names the argument; so must a float64 array with
+no rows or no columns, which ``write_matrix`` must refuse, naming the path,
+before it writes a file. A weight grid that is not a sequence of numbers
+must end in a ``ParameterError`` that names it.
 """
 
 import json
@@ -27,9 +29,9 @@ import pytest
 import rankfuse.cli
 from rankfuse.cli import run_cli
 from rankfuse.ensemble import WeightGrid, iterative_ensemble, sweep_weight
-from rankfuse.errors import ParameterError, RankfuseError
+from rankfuse.errors import ParameterError, RankfuseError, ValidationError
 from rankfuse.io_files import write_matrix
-from rankfuse.matrix_ops import topk_rows
+from rankfuse.matrix_ops import minmax_normalize, topk_rows
 from rankfuse.metrics import GroundTruth, metrics_report
 from rankfuse.selection import select_topk_features
 
@@ -300,13 +302,18 @@ _GT, _GRID = GroundTruth.identity(3), WeightGrid((0.0, 0.5, 1.0))
 ENTRY_POINTS = {
     "metrics_report": ("score matrix", lambda x: metrics_report(x, _GT, [1, 2]).r_at),
     "topk_rows": ("score matrix", lambda x: topk_rows(x, 2).indices.tolist()),
+    "topk_rows k=1": ("score matrix", lambda x: topk_rows(x, 1).indices.tolist()),
     "sweep_weight s_prev": ("s_prev", lambda x: sweep_weight(x, _SCORES, _GT, _GRID)),
     "sweep_weight t_model": ("t_model", lambda x: sweep_weight(_SCORES.T, x, _GT, _GRID)),
     "iterative_ensemble": ("model 1", lambda x: iterative_ensemble([_SCORES.T, x], _GT, _GRID)[1].steps),
+    "iterative_ensemble model 0": ("model 0", lambda x: iterative_ensemble([x], _GT, _GRID)[1].steps),
     "select_topk_features features": ("features", lambda x: select_topk_features(x, _SCORES, 2).indices.tolist()),
     "select_topk_features guidance": ("guidance", lambda x: select_topk_features(_BANK, x, 2).indices.tolist()),
+    "minmax_normalize": ("matrix", lambda x: minmax_normalize(x).tolist()),
 }
-# Inputs that are not a matrix of numbers, or not 2-D.
+# float64 arrays with no rows or no columns.
+EMPTY = {"no rows": np.empty((0, 3)), "no columns": np.empty((3, 0))}
+# Inputs that are not a matrix of numbers, not 2-D, or empty.
 MALFORMED = {
     "ragged list": [[0.9, 0.2, 0.4], [0.1, 0.3], [0.5, 0.6, 0.7]],
     "list of strings": [["a", "b", "c"]] * 3,
@@ -314,6 +321,7 @@ MALFORMED = {
     "1-D array": np.array([0.9, 0.2, 0.4]),
     "3-D array": np.zeros((3, 3, 1)),
     "None": None,
+    **EMPTY,
 }
 
 
@@ -333,6 +341,15 @@ def test_entry_points_reject_malformed_matrices_naming_the_argument(entry, kind)
     what, call = ENTRY_POINTS[entry]
     with pytest.raises(RankfuseError, match=re.escape(what)):
         call(MALFORMED[kind])
+
+
+@pytest.mark.parametrize("kind", list(EMPTY))
+@pytest.mark.parametrize("fmt", ["array", "csv"])
+def test_write_matrix_refuses_empty_matrices_naming_the_path(tmp_path, kind, fmt):
+    path = tmp_path / f"empty.{fmt}"
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot write a matrix with no rows")):
+        write_matrix(EMPTY[kind], path, fmt)
+    assert not path.exists()
 
 
 # Weight grids that are not a sequence of numbers.
