@@ -61,7 +61,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, _split_rows, minmax_normalize
+from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, _row_buffer, _split_blocks, _split_rows
+from .matrix_ops import minmax_normalize
 from .matrix_ops import topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
     GroundTruth,
@@ -236,12 +237,13 @@ _ZERO_GUARD = 4 * 2.0**-53
 _FLOOR_REL, _FLOOR_ABS = 2.0**-50, 2.0**-1070
 # A block is ranked from its candidate cells alone when they are at most
 # 1/_SPARSE of its cells. Ranking a queued cell at all ten default weights
-# costs about 97-146 ns, against 10-13 ns per cell for the block path; the
-# candidate search, 3.4-4.5 ns per cell, is paid before either (2-core Xeon,
-# numpy 2.4; quartiles of 15 sweeps of a 1000 x 1000 input with 62,000
-# candidates, the same at R@1 and R@5, its block path timed with the
-# prefilter off). So break-even lies between about 1/15 and 1/8 of a
-# block's cells, and 1/16 takes only blocks whose cells cost less.
+# costs about 112-170 ns, against 8.5-13 ns per cell for the block path; the
+# candidate search, 2.9-3.9 ns per cell, is paid before either (2-core Xeon,
+# numpy 2.4; quartiles of 21 sweeps each at R@1 and R@5 of a 1000 x 1000
+# input with 62,000 candidates, its block path timed with the prefilter off
+# right after each). Sweep by sweep the block path costs 1/14 to 1/12.5 of
+# the queued one per cell, so break-even lies between about 1/14 and 1/12
+# of a block's cells, and 1/16 takes only blocks whose cells cost less.
 _SPARSE = 16
 
 
@@ -278,7 +280,8 @@ def _candidates(s: np.ndarray, t: np.ndarray, floor: np.ndarray, x: np.ndarray, 
     ``mask`` are float64 and bool scratch of the block's shape.
     """
     np.maximum(s, t, out=x)
-    np.greater_equal(x, floor[:, None], out=mask)
+    with _row_buffer(mask.shape[1]):
+        np.greater_equal(x, floor[:, None], out=mask)
     if np.count_nonzero(mask) * _SPARSE > mask.size:
         return None
     return np.flatnonzero(mask)
@@ -368,16 +371,27 @@ def _filter_ranks(ds, dt, off, w, g, x, part, mask, out, proof=None) -> np.ndarr
     ``off`` each row's offset from that lead to its best relevant blend, and
     ``g`` the guard band. ``x`` and ``part`` are float32 scratch, and ``mask``
     and ``out`` go to :func:`rankfuse.metrics._band_ranks`, whose band rows
-    are returned. Given a pair of bool buffers, ``proof`` keeps this
-    anchor's two masks (see ``_GUARD``): "above", ``x > g``, and "ahead",
-    ``x >= -g`` before the offset is taken off.
+    are returned. At w = 0 and w = 1 the blend is ``dt`` or ``ds`` itself,
+    read as it is, or copied into ``x`` less the offset: ``fl(0*ds) +
+    fl(1*dt)`` is ``dt`` but for the sign of a zero, which neither band
+    compare (``> g``, ``>= -g`` with g > 0) sees, and it makes fewer
+    roundings than ``_GUARD`` allows for. Given a pair of bool buffers,
+    ``proof`` keeps this anchor's two masks (see ``_GUARD``): "above",
+    ``x > g``, and "ahead", ``x >= -g`` before the offset is taken off. With
+    no offset in the block these are the band count's own two compares, so
+    the count makes them into ``proof``.
     """
-    x = np.multiply(ds, np.float32(w), out=x)
-    np.add(x, np.multiply(dt, np.float32(1.0 - w), out=part), out=x)
+    if w == 0.0 or w == 1.0:
+        e = dt if w == 0.0 else ds
+    else:
+        e = np.multiply(ds, np.float32(w), out=x)
+        np.add(e, np.multiply(dt, np.float32(1.0 - w), out=part), out=e)
+    if not off.any():
+        return _band_ranks(e, g, -g, proof or mask, out)
     if proof:
-        np.greater_equal(x, -g, out=proof[1])
-    if off.any():
-        np.subtract(x, off[:, None], out=x)
+        np.greater_equal(e, -g, out=proof[1])
+    with _row_buffer(e.shape[1]):
+        x = np.subtract(e, off[:, None], out=x)
     if proof:
         np.greater(x, g, out=proof[0])
     return _band_ranks(x, g, -g, mask, out)
@@ -443,20 +457,26 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     3. Within the float32 bounds, the float32 filter: the block is copied
        to float32 once, less each row's lead (first) relevant score,
        blended at every w, at half the bytes, and less each row's offset
-       from that lead to its best relevant blend. Its entries above a guard
-       band that bounds the rounding error are counted by
+       from that lead to its best relevant blend. The weights 0 and 1
+       blend nothing: their blend is the copy of t or of s itself, read as
+       it is or copied less the offset (:func:`_filter_ranks`). Its entries
+       above a guard band that bounds the rounding error are counted by
        :func:`rankfuse.metrics._band_ranks`. At an anchor the filter also
-       keeps the masks that rule 2 decides by, and at the second anchor of
-       a pair it applies rule 2 to the weights between.
+       keeps the masks that rule 2 decides by (in a block with no offset,
+       the band count's own two compares), and at the second anchor of a
+       pair it applies rule 2 to the weights between.
     4. Otherwise the rows are blended in float64 at that w.
 
     Rules 1 and 3 also find the rows with a second entry in their band, and
     those rows alone go on to rule 4, whose float64 blend is ranked exactly
     by :func:`rankfuse.metrics._count_ranks`. A block holds twice
     ``_BLOCK_CELLS`` cells, so that its float32 copies have the bytes of a
-    cache-sized float64 block. The float32 buffers and the proof masks are
-    made when a block first reaches the filter, so a sweep that the zero
-    shortcut or the prefilter takes whole never makes them.
+    cache-sized float64 block. The calls that broadcast a per-row column
+    over a block (the shifted copies, the offsets, the candidate floor and
+    the zero shortcut's band) go through a one-row ufunc buffer
+    (:func:`rankfuse.matrix_ops._row_buffer`). The float32 buffers and the
+    proof masks are made when a block first reaches the filter, so a sweep
+    that the zero shortcut or the prefilter takes whole never makes them.
     """
     n, m = t.shape
     pairs = gt._queries, gt._items
@@ -512,8 +532,9 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
                 scratch.extend(np.empty((2, rows, m), bool) for _ in range(2))
             ds, dt, x32, part32 = (b[:r] for b in scratch[:4])
             # Differences of at most 2**101: finite in float64 and in float32.
-            np.subtract(sq, s_lead[q, None], out=ds)
-            np.subtract(tq, t_lead[q, None], out=dt)
+            with _row_buffer(m):
+                np.subtract(sq, s_lead[q, None], out=ds)
+                np.subtract(tq, t_lead[q, None], out=dt)
             off = (best[:, q] - vals_lead[:, q]).astype(np.float32)
         # The float32 filter's guard band at each weight, or False.
         guards = [fits and _guard(w, s_max, t_max) for w in weights]
@@ -656,7 +677,12 @@ def iterative_ensemble(
     leaves the step buffer as the accumulator. The
     rescale, the copy and the folds are whole-matrix numpy passes, which
     release the GIL, so each is split across row ranges on the usable CPUs
-    (:func:`rankfuse.matrix_ops._split_rows`). The sweep is not: it makes
+    (:func:`rankfuse.matrix_ops._split_rows`). The rescale and the folds
+    make two or three calls over the same rows, so each range is walked in
+    row blocks of ``2 * _BLOCK_CELLS`` cells, each block's later calls
+    reading it from cache (:func:`rankfuse.matrix_ops._split_blocks`); every
+    element goes through the same calls in the same order, so the bytes
+    are those of whole-matrix passes. The sweep is not split: it makes
     many small numpy calls a block and holds the GIL between them, and two
     threads made it slower.
 
@@ -684,10 +710,10 @@ def iterative_ensemble(
         # Both are this call's own arrays, so the fold writes over them.
         if s is None:
             # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0 turns to +0.0.
-            _split_rows(lambda lo, hi: np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi]), *t.shape)
+            _split_blocks(lambda lo, hi: np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi]), *t.shape)
             s = t
         else:
-            _split_rows(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *t.shape)
+            _split_blocks(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *t.shape)
             spare = t
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 

@@ -243,14 +243,22 @@ def write_matrix(m, path, format: str = "array") -> None:
 
     A matrix that is not 2-D, or has no rows or no columns, which
     :func:`load_matrix` would refuse, raises ``ValidationError`` naming
-    ``path`` and writes nothing. float64 array files round-trip bit-exactly
-    through :func:`load_matrix`.
+    ``path`` and writes nothing. So does a matrix holding NaN or inf, with
+    the first such cell's (row, column): a plain array or nested list is
+    scanned in row blocks, while a wrapper's data (``ScoreMatrix``,
+    ``EmbeddingMatrix``) was checked when it was built and is trusted.
+    Wrappers are told apart by ``isinstance(m, np.ndarray)``, never by
+    their type, as in ``matrix_ops._data``. float64 array files round-trip
+    bit-exactly through :func:`load_matrix`.
     """
-    arr = np.asarray(getattr(m, "data", m), dtype=np.float64)
+    wrapped = not isinstance(m, np.ndarray) and hasattr(m, "data")
+    arr = np.asarray(m.data if wrapped else m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"{path}: can only write 2-D matrices, got shape {arr.shape}")
     if not arr.size:
         raise ValidationError(f"{path}: cannot write a matrix with no rows or no columns, got shape {arr.shape}")
+    if not wrapped:
+        _as_matrix(arr, str(path))
     _format(format)[1](arr, path)
 
 

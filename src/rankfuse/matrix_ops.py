@@ -10,6 +10,7 @@ running after ``fork``.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import os
@@ -302,13 +303,54 @@ def _split_rows(fn, n_rows: int, n_cols: int) -> None:
         raise errors[min(errors)]
 
 
+def _split_blocks(fn, n_rows: int, n_cols: int) -> None:
+    """:func:`_split_rows`, with ``fn`` called on each range's row blocks of ``2 * _BLOCK_CELLS`` cells.
+
+    For a pass that makes two or more numpy calls over the same rows: each
+    block's later calls read it from cache, where a call over a whole range
+    would read it from memory again. Every element goes through the same
+    calls in the same order, so the result is that of one call a range.
+    """
+    rows = _block_rows((n_rows, n_cols), 2 * _BLOCK_CELLS)
+
+    def walk(lo, hi):
+        for a in range(lo, hi, rows):
+            fn(a, min(a + rows, hi))
+
+    _split_rows(walk, n_rows, n_cols)
+
+
+@contextlib.contextmanager
+def _row_buffer(n_cols: int):
+    """numpy's ufunc buffer cut to one row of ``n_cols`` elements (a multiple of 16), while inside.
+
+    On numpy 2.4, an elementwise call that broadcasts a per-row column over
+    a block of several rows, such as ``block - column`` or
+    ``block >= column``, runs 2-4x slower through the default 8192-element
+    buffer than through a buffer of one row: 64-69 against 24-37 us for a
+    float64 65 x 1000 block less a column into float32, and 36 against 14
+    us for its compare (2-core Xeon). The buffer size changes no element's
+    result. Reductions, such as a uint8 row sum into uint16, do not gain
+    and can lose, so only the broadcasting calls go inside. The size is
+    taken from the context's own per call and never raised, and the old
+    size is restored on exit, on error too; numpy keeps it per context, so
+    other threads never see it.
+    """
+    old = np.getbufsize()
+    np.setbufsize(min(old, 16 * -(-n_cols // 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
-    """``(min, max - min)`` of ``data``, each row range's extremes taken on
-    its own thread (see :func:`_split_rows`); a span beyond the float64
-    maximum is rejected with ``ValidationError`` and no numpy overflow
-    warning."""
+    """``(min, max - min)`` of ``data``, each row block's extremes taken
+    while it is in cache, each row range's blocks on its own thread (see
+    :func:`_split_blocks`); a span beyond the float64 maximum is rejected
+    with ``ValidationError`` and no numpy overflow warning."""
     ends = []
-    _split_rows(lambda a, b: ends.append((data[a:b].min(), data[a:b].max())), *data.shape)
+    _split_blocks(lambda a, b: ends.append((data[a:b].min(), data[a:b].max())), *data.shape)
     lo, hi = np.min(ends, axis=0)[0], np.max(ends, axis=0)[1]
     with np.errstate(over="ignore"):
         span = hi - lo
@@ -327,17 +369,19 @@ def minmax_normalize(data: np.ndarray | ScoreMatrix, out: np.ndarray | None = No
     float64 maximum cannot be rescaled and raises ``ValidationError``. The
     result, ``(data - lo) / span`` with the division done in place, goes
     into ``out``, a float64 array of ``data``'s shape (``data`` itself
-    included), or else into a new array, the only one allocated. Both passes, the extremes and the rescale, are
-    split across row ranges (see :func:`_split_rows`). A zero minimum is
-    taken as -0.0, so the result holds no -0.0 whichever zero numpy's
-    reduction returns, and a constant matrix, each of whose entries less
-    the minimum is +0.0, is divided by a span of 1.
+    included), or else into a new array, the only one allocated. Both
+    passes, the extremes and the rescale, are split across row ranges and
+    walk each range in cache-sized row blocks (see :func:`_split_blocks`):
+    a block is divided while its subtraction is still in cache. A zero
+    minimum is taken as -0.0, so the result holds no -0.0 whichever zero
+    numpy's reduction returns, and a constant matrix, each of whose entries
+    less the minimum is +0.0, is divided by a span of 1.
     """
     data = _data(data, "matrix")
     lo, span = _value_span(data, "cannot min-max rescale")
     out = np.empty(data.shape) if out is None else out
     lo, span = -0.0 if lo == 0 else lo, span or 1.0
-    _split_rows(
+    _split_blocks(
         lambda a, b: np.divide(np.subtract(data[a:b], lo, out=out[a:b]), span, out=out[a:b]),
         *data.shape,
     )
@@ -416,7 +460,8 @@ def _topk_block(data: np.ndarray, k: int) -> np.ndarray:
     # among them. A row keeping more than 2k has a run of ties at the bound
     # (or many entries above it): only its lowest-index ties that fit in k
     # are kept, so a tie-heavy row costs O(m), not a sort of the run.
-    keep = data >= bound
+    with _row_buffer(n_cols):
+        keep = data >= bound
     rows, cols = np.divmod(np.flatnonzero(keep), n_cols)
     counts = np.bincount(rows, minlength=n)
     heavy = np.flatnonzero(counts > 2 * k)

@@ -17,6 +17,7 @@ matrix.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError, ValidationError
-from .matrix_ops import ScoreMatrix, _block_rows, _data, _row_blocks, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows
+from .matrix_ops import ScoreMatrix, _block_rows, _data, _row_blocks, _row_buffer, topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows
 
 __all__ = ["GroundTruth", "RetrievalMetrics", "query_ranks", "recall_at_k", "metrics_report"]
 
@@ -177,22 +178,30 @@ def _best_relevant(vals: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.nd
     return best, np.minimum.reduceat(at_best, starts, axis=-1)
 
 
-def _band_ranks(x: np.ndarray, hi, lo, mask: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _band_ranks(x: np.ndarray, hi, lo, mask, out: np.ndarray) -> np.ndarray:
     """Each row's count of ``x > hi``, and the rows with a second entry in ``[lo, hi]``.
 
     ``hi`` and ``lo`` (``lo <= hi``) are scalars or arrays that broadcast to
     ``x``'s shape, and every row holds one entry of its own in ``[lo, hi]``. The counts
     are summed, in ``out``'s dtype, into ``out``; ``mask`` is a bool buffer
-    of ``x``'s shape. One whole-block count of ``x >= lo`` proves that no
+    of ``x``'s shape, or a pair of them that keep ``x > hi`` and
+    ``x >= lo``. One whole-block count of ``x >= lo`` proves that no
     row holds a second entry in the band, and only otherwise are the rows
     counted one by one. Returns the indices of the rows that hold one.
+    Bounds given per row, as a column (``lo`` then is one too), are compared
+    through a row-sized ufunc buffer (see
+    :func:`rankfuse.matrix_ops._row_buffer`).
     """
-    np.greater(x, hi, out=mask)
-    above = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype, out=out)
-    np.greater_equal(x, lo, out=mask)
-    if np.count_nonzero(mask) == int(above.sum()) + len(above):
+    above, ahead = (mask, mask) if isinstance(mask, np.ndarray) else mask
+    column = np.ndim(hi) == 2 and hi.shape[1] < x.shape[1]
+    with _row_buffer(x.shape[1]) if column else nullcontext():
+        np.greater(x, hi, out=above)
+    counts = np.add.reduce(above.view(np.uint8), axis=1, dtype=out.dtype, out=out)
+    with _row_buffer(x.shape[1]) if column else nullcontext():
+        np.greater_equal(x, lo, out=ahead)
+    if np.count_nonzero(ahead) == int(counts.sum()) + len(counts):
         return np.empty(0, np.intp)
-    in_band = np.add.reduce(mask.view(np.uint8), axis=1, dtype=out.dtype) - above
+    in_band = np.add.reduce(ahead.view(np.uint8), axis=1, dtype=out.dtype) - counts
     return np.flatnonzero(in_band > 1)
 
 

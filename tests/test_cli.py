@@ -638,6 +638,9 @@ class TestStreamedEnsemble:
         write_matrix(np.random.default_rng(5).random((4, 5)), tmp_path / "init.npy")
         files = [str(tmp_path / name) for name in ("extra.npy", "m0.npy", "m1.csv", "init.npy")]
         out = str(tmp_path / "f.npy")
+        # Written before the count starts: write_matrix scans a plain array.
+        bank = str(tmp_path / "bank.npy")
+        write_matrix(np.random.default_rng(6).random((5, 3)), bank)
         calls = count_finite_scans(monkeypatch)
         assert run_cli(["ensemble", "--manifest", str(manifest), "--out", out,
                         "--model", files[0], "--init-matrix", files[3]]) == 0
@@ -648,8 +651,6 @@ class TestStreamedEnsemble:
             assert run_cli(["eval", "--scores", scores, "--gt", str(manifest)]) == 0
             assert calls == Counter({scores: 1})
             calls.clear()
-        bank = str(tmp_path / "bank.npy")
-        write_matrix(np.random.default_rng(6).random((5, 3)), bank)
         argv = ["select", "--features", bank, "--guidance", out, "--k", "2",
                 "--out", str(tmp_path / "top.csv")]
         assert run_cli(argv) == 0

@@ -26,7 +26,7 @@ from rankfuse.ensemble import (
     sweep_weight,
 )
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
-from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix
+from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix, _split_rows
 from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
 from rankfuse.synth import SynthConfig, gen_model_scores
 
@@ -595,6 +595,32 @@ class TestFloat32Filter:
                 assert np.array_equal(reranked_at(queries, w), near if w in anchors else [])
             monkeypatch.undo()
 
+    def test_grid_ends_read_the_block_or_copy_it_less_the_offset(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        m = 400
+        rows = 2 * _BLOCK_CELLS // m
+        n = 2 * rows
+        s, t = rng.random((n, m)), rng.random((n, m))
+        # The first block's rows have one relevant item, so no offset: w = 0
+        # and w = 1 read its dt and ds as they are. The second block's have
+        # three, most of them led by an item that is not their best, so
+        # that block is copied less the offset.
+        sizes = [1] * rows + [3] * rows
+        gt = GroundTruth(relevant=tuple(rng.choice(m, size=z, replace=False) for z in sizes), gallery_size=m)
+        filter_ranks, seen = ens._filter_ranks, set()
+
+        def recorded(ds, dt, off, w, *args):
+            seen.add((w, bool(off.any()), bool(args[-1])))
+            return filter_ranks(ds, dt, off, w, *args)
+
+        monkeypatch.setattr(ens, "_filter_ranks", recorded)
+        # The ends bound no weights, or keep proof masks: 1 as the closing
+        # anchor of 0.8 in the default grid plus 1, 0 as the opening one of 0.1.
+        grids = [(0.0, 1.0), (0.0, 0.5, 1.0), DEFAULT_WEIGHT_GRID + (1.0,), (0.0, 0.05, 0.1, 1.0)]
+        for k in self.ks(m):
+            check_sweep(s, t, gt, k, grids)
+        assert seen >= {(w, off, proof) for w in (0.0, 1.0) for off in (False, True) for proof in (False, True)}
+
     def test_gallery_past_uint16_counts(self):
         rng = np.random.default_rng(37)
         n, m = 3, 2**16 + 5
@@ -978,6 +1004,32 @@ class TestAnchorPruning:
             assert np.array_equal(reranked_at(queries, w), near if anchor else [])
             assert np.array_equal(reranked_at(queued, w), [] if anchor else cells)
         assert counted == default_grid_band_counts(n, 2 * _BLOCK_CELLS // m)
+
+    def test_anchors_with_an_offset_keep_the_lead_ahead_mask(self, monkeypatch):
+        rng = np.random.default_rng(57)
+        n, m, k = 100, 60, 2
+        s, t = rng.random((n, m)), rng.random((n, m))
+        # Row 0's lead relevant item 0 sits flat at 0.1, over the rest of
+        # the row below 0.05. Its relevant items 1 and 2 cross: each is the
+        # best at one anchor, 0.8 and 0.95, at 0.58, and both blend to 0.55
+        # at 0.875. Items 3 and 4 sit flat at 0.565, below the best relevant
+        # blend at both anchors and above it between them, so the row misses
+        # at R@2 from 0.85 to 0.9. Only "ahead" of the lead, taken before
+        # the offset from the lead to the best is, leaves the row
+        # undecided: taken after it, no more than items 1 and 2 are ahead
+        # at either anchor, which would decide a hit.
+        s[0], t[0] = 0.05 * rng.random((2, m))
+        s[0, :5] = 0.1, 0.5, 0.6, 0.565, 0.565
+        t[0, :5] = 0.1, 0.9, 0.2, 0.565, 0.565
+        gt = GroundTruth(relevant=({0, 1, 2},) + tuple({int(i)} for i in rng.integers(0, m, n - 1)), gallery_size=m)
+        rank = {w: query_ranks(w * s + (1.0 - w) * t, gt)[0] for w in (0.8, 0.875, 0.95)}
+        assert rank == {0.8: 0, 0.875: 2, 0.95: 0}
+        proofs = []
+        filter_ranks = ens._filter_ranks
+        monkeypatch.setattr(ens, "_filter_ranks", lambda *args: proofs.append(args[2].any() and args[-1]) or filter_ranks(*args))
+        check_sweep(s, t, gt, k, [DEFAULT_WEIGHT_GRID])
+        # Both anchors kept proof masks in a block with an offset.
+        assert sum(map(bool, proofs)) >= 2
 
     def test_undecided_tiny_rows_are_ranked_from_their_open_cells(self, monkeypatch):
         rng = np.random.default_rng(54)
@@ -1514,7 +1566,7 @@ def split_instance(n: int, m: int):
     mats = [rng.uniform(-3, 5, (n, m)) for _ in range(4)]
     for mat in mats:
         mat[0, :3] = -0.0
-    mats[0][1, :3] = -5e-324
+    mats[0][1 % n, :3] = -5e-324
     init = rng.uniform(-1, 2, (n, m))
     relevant = np.array([rng.choice(m, 2, replace=False) for _ in range(n)])
     return mats, init, relevant
@@ -1616,6 +1668,20 @@ class TestSplitFusion:
         assert errors == []
         assert got == [want] * 8
 
+    # One row; at two CPUs, ranges of one full and one partial 65-row block
+    # (at one, blocks of 65, 65 and 1 rows); one-row blocks.
+    @pytest.mark.parametrize("n, m", [(1, 1000), (131, 1000), (3, 2 * _BLOCK_CELLS + 5)])
+    def test_ranges_that_cut_blocks_unevenly(self, monkeypatch, n, m):
+        mats, init, relevant = split_instance(n, m)
+        gt = GroundTruth(relevant=tuple(map(tuple, relevant.tolist())), gallery_size=m)
+        for cpus in (1, 2):
+            force_split(monkeypatch, cpus)
+            for _, normalize, with_init in self.CONFIGS:
+                start = init if with_init else None
+                fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
+                weights = [step.chosen_w for step in trace.steps]
+                assert hashlib.sha256(fused.data.tobytes()).hexdigest() == rebuilt_bytes(mats, start, normalize, weights)
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
     def test_forked_child_fuses_after_a_split_fusion(self, monkeypatch):
         mats, init, relevant = split_instance(30, 20)
@@ -1636,6 +1702,67 @@ class TestSplitFusion:
                 pytest.fail("the forked child did not finish its fusion")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestUfuncBuffer:
+    """Every public call leaves numpy's ufunc buffer size as it found it, on error too.
+
+    The sweep cuts the buffer to one row around the calls that broadcast a
+    per-row column (see ``matrix_ops._row_buffer``).
+    """
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(58)
+        n, m = 150, 500
+        mats = [rng.random((n, m)) for _ in range(3)]
+        gt = GroundTruth(relevant=tuple(rng.choice(m, size=1 + q % 3, replace=False) for q in range(n)), gallery_size=m)
+        return mats, gt
+
+    def test_sweeps_and_fusion_leave_the_buffer_size(self, monkeypatch):
+        mats, gt = self.instance()
+        before = np.getbufsize()
+        for k in (1, 5):
+            sweep_weight(np.zeros(mats[0].shape), mats[0], gt, WeightGrid(), RecallAtK(k))
+            assert np.getbufsize() == before
+            sweep_weight(mats[0], mats[1], gt, WeightGrid(DEFAULT_WEIGHT_GRID + (1.0,)), RecallAtK(k))
+            assert np.getbufsize() == before
+            iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(k))
+            assert np.getbufsize() == before
+        # In split workers too, which see their caller's size.
+        force_split(monkeypatch, 2)
+        want = sweep_weight(mats[0], mats[1], gt, WeightGrid(), RecallAtK(5))
+        seen = []
+
+        def fn(lo, hi):
+            size = np.getbufsize()
+            got = sweep_weight(mats[0], mats[1], gt, WeightGrid(), RecallAtK(5))
+            iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(5))
+            seen.append((lo, size, np.getbufsize(), got == want))
+
+        with np.errstate():
+            np.setbufsize(4096)
+            _split_rows(fn, 4, 1)
+        assert sorted(seen) == [(0, 4096, 4096, True), (2, 4096, 4096, True)]
+        assert np.getbufsize() == before
+
+    # np.greater runs inside the row buffer in the zero shortcut's band
+    # count, and np.subtract in the float32 filter's shifted copies.
+    @pytest.mark.parametrize("name, zero", [("greater", True), ("subtract", False)])
+    def test_an_error_inside_the_row_buffer_restores_it(self, monkeypatch, name, zero):
+        mats, gt = self.instance()
+        s = np.zeros(mats[0].shape) if zero else mats[0]
+        before, ufunc = np.getbufsize(), getattr(np, name)
+
+        def failing(*args, **kwargs):
+            if np.getbufsize() < before:
+                raise RuntimeError("inside the row buffer")
+            return ufunc(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, failing)
+        with pytest.raises(RuntimeError, match="inside the row buffer"):
+            sweep_weight(s, mats[1], gt, WeightGrid(), RecallAtK(5))
+        assert np.getbufsize() == before
 
 
 class TestHelpers:

@@ -16,7 +16,8 @@ ragged lists, strings, and arrays of another shape. Numbers must be taken
 as the float64 array they convert to, and anything else must end in a
 ``RankfuseError`` that names the argument; so must a float64 array with
 no rows or no columns, which ``write_matrix`` must refuse, naming the path,
-before it writes a file. A weight grid that is not a sequence of numbers
+before it writes a file. It must refuse a plain matrix holding NaN or inf
+the same way, naming the first such cell, and scan no wrapper. A weight grid that is not a sequence of numbers
 must end in a ``ParameterError`` that names it.
 """
 
@@ -27,11 +28,12 @@ import numpy as np
 import pytest
 
 import rankfuse.cli
+import rankfuse.io_files
 from rankfuse.cli import run_cli
 from rankfuse.ensemble import WeightGrid, iterative_ensemble, sweep_weight
 from rankfuse.errors import ParameterError, RankfuseError, ValidationError
 from rankfuse.io_files import write_matrix
-from rankfuse.matrix_ops import minmax_normalize, topk_rows
+from rankfuse.matrix_ops import EmbeddingMatrix, ScoreMatrix, _finite, minmax_normalize, topk_rows
 from rankfuse.metrics import GroundTruth, metrics_report
 from rankfuse.selection import select_topk_features
 
@@ -350,6 +352,32 @@ def test_write_matrix_refuses_empty_matrices_naming_the_path(tmp_path, kind, fmt
     with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot write a matrix with no rows")):
         write_matrix(EMPTY[kind], path, fmt)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("fmt", ["array", "csv"])
+def test_write_matrix_refuses_non_finite_cells_naming_the_path_and_cell(tmp_path, value, fmt):
+    path = tmp_path / f"bad.{fmt}"
+    x = np.ones((3, 4))
+    x[2, 1] = x[2, 3] = value
+    for m in (x, x.tolist()):
+        with pytest.raises(ValidationError, match=re.escape(f"{path} has non-finite value at (2, 1)")):
+            write_matrix(m, path, fmt)
+        assert not path.exists()
+
+
+def test_write_matrix_scans_plain_matrices_and_trusts_wrappers(tmp_path, monkeypatch):
+    scanned, as_matrix = [], rankfuse.io_files._as_matrix
+    monkeypatch.setattr(rankfuse.io_files, "_as_matrix", lambda x, what: scanned.append(what) or as_matrix(x, what))
+    x = np.random.default_rng(5).random((3, 4))
+    path = tmp_path / "m.npy"
+    # Every command writes a wrapper, whose data was checked when it was built.
+    for m in (ScoreMatrix(x), EmbeddingMatrix(x), _finite(ScoreMatrix, x)):
+        write_matrix(m, path)
+    assert scanned == []
+    for m in (x, x.tolist()):
+        write_matrix(m, path)
+    assert scanned == [str(path)] * 2
 
 
 # Weight grids that are not a sequence of numbers.

@@ -17,11 +17,13 @@ from rankfuse.errors import (
 )
 from rankfuse.io_files import load_matrix, write_matrix
 from rankfuse.matrix_ops import (
+    _BLOCK_CELLS,
     _PASS_CELLS,
     EmbeddingMatrix,
     ScoreMatrix,
     _block_rows,
     _finite,
+    _row_buffer,
     _split_rows,
     cosine_similarity,
     l2_normalize_rows,
@@ -340,7 +342,14 @@ class TestBlockedFiniteScan:
             assert str(exc.value) == f"score matrix has non-finite value at ({i}, {j})"
             for name, fmt in (("m.npy", "array"), ("m.csv", "csv")):
                 path = tmp_path / name
-                write_matrix(data, path, fmt)
+                # write_matrix refuses the cell too, so the file is written by hand.
+                with pytest.raises(ValidationError) as exc:
+                    write_matrix(data, path, fmt)
+                assert str(exc.value) == f"{path} has non-finite value at ({i}, {j})"
+                if fmt == "array":
+                    np.save(path, data)
+                else:
+                    path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in data))
                 with pytest.raises(ValidationError) as exc:
                     load_matrix(path, fmt)
                 assert str(exc.value) == f"{path} has non-finite value at ({i}, {j})"
@@ -482,6 +491,21 @@ class TestSplitMinmax:
             assert not np.signbit(out).any()
             np.testing.assert_array_equal(out, self.whole(data))
 
+    # One row; two ranges of one full and one partial 65-row block (a
+    # single range: blocks of 65, 65 and 1 rows); one-row blocks.
+    @pytest.mark.parametrize("shape", [(1, 1000), (131, 1000), (3, 2 * _BLOCK_CELLS + 5)])
+    def test_ranges_that_cut_blocks_unevenly(self, monkeypatch, shape):
+        x = np.random.default_rng(42).uniform(-7, 3, shape)
+        # Both extremes in the last row, the last block of the last range.
+        x[-1, 0], x[-1, -1] = -9.0, 4.0
+        want = self.whole(x).tobytes()
+        for cpus in (1, 2):
+            force_split(monkeypatch, cpus)
+            assert minmax_normalize(x).tobytes() == want
+            y = x.copy()
+            minmax_normalize(y, out=y)
+            assert y.tobytes() == want
+
     def test_span_past_float64_max_same_message(self, monkeypatch):
         x = np.array([[1e308, 0.0], [2.0, 3.0], [4.0, 5.0], [-1e308, 6.0]])
         messages = []
@@ -491,6 +515,48 @@ class TestSplitMinmax:
                 minmax_normalize(x, out=np.empty_like(x))
             messages.append(str(exc.value))
         assert messages == ["cannot min-max rescale: the span from -1e+308 to 1e+308 is not finite"] * 2
+
+
+class TestRowBuffer:
+    """``_row_buffer`` cuts numpy's ufunc buffer to one row and always puts it back."""
+
+    def test_one_row_never_raised_and_restored_on_error(self):
+        before = np.getbufsize()
+        for n_cols, size in ((1, 16), (1000, 1008), (1008, 1008), (10**6, before)):
+            with _row_buffer(n_cols):
+                assert np.getbufsize() == size
+            assert np.getbufsize() == before
+        with pytest.raises(ValueError, match="^inside$"):
+            with _row_buffer(100):
+                raise ValueError("inside")
+        assert np.getbufsize() == before
+        # A caller's own smaller buffer is kept, and so is its size.
+        with np.errstate():
+            np.setbufsize(512)
+            with _row_buffer(1000):
+                assert np.getbufsize() == 512
+            assert np.getbufsize() == 512
+        assert np.getbufsize() == before
+
+    def test_topk_rows_leaves_the_buffer_size(self, monkeypatch):
+        data = np.random.default_rng(43).random((140, 2000))
+        before = np.getbufsize()
+        want = [topk_rows(data, k).indices.tobytes() for k in (1, 10)]
+        assert np.getbufsize() == before
+        # In split workers too, which see their caller's size.
+        force_split(monkeypatch, 2)
+        seen = []
+
+        def fn(lo, hi):
+            size = np.getbufsize()
+            got = [topk_rows(data, k).indices.tobytes() for k in (1, 10)]
+            seen.append((lo, size, np.getbufsize(), got == want))
+
+        with np.errstate():
+            np.setbufsize(4096)
+            _split_rows(fn, 4, 1)
+        assert sorted(seen) == [(0, 4096, 4096, True), (2, 4096, 4096, True)]
+        assert np.getbufsize() == before
 
 
 def test_import_loads_no_pool_module():

@@ -63,6 +63,38 @@ MUTANTS = {
             "tests/test_ensemble.py::TestPinnedBytes::test_fusion_bytes_pinned",
         ),
     ),
+    # The float32 filter at w = 0 reads the block's s where its t is meant.
+    "w = 0 reads ds": Mutant(
+        "src/rankfuse/ensemble.py",
+        "e = dt if w == 0.0 else ds",
+        "e = ds",
+        ("tests/test_ensemble.py::TestFloat32Filter::test_grid_ends_read_the_block_or_copy_it_less_the_offset",),
+    ),
+    # An anchor's "ahead" mask is taken after the offset, as the band count's.
+    "masks shared in a block with an offset": Mutant(
+        "src/rankfuse/ensemble.py",
+        "return _band_ranks(x, g, -g, mask, out)",
+        "return _band_ranks(x, g, -g, proof or mask, out)",
+        ("tests/test_ensemble.py::TestAnchorPruning::test_anchors_with_an_offset_keep_the_lead_ahead_mask",),
+    ),
+    # The block walk of the split passes (the folds, the step-1 scale and
+    # both min-max passes) leaves out each range's last partial block.
+    "blocked fold skips a range's last partial block": Mutant(
+        "src/rankfuse/matrix_ops.py",
+        "fn(a, min(a + rows, hi))",
+        "a + rows <= hi and fn(a, a + rows)",
+        ("tests/test_ensemble.py::TestSplitFusion::test_ranges_that_cut_blocks_unevenly",),
+    ),
+    # The row buffer leaves numpy's ufunc buffer at one row.
+    "row buffer not restored": Mutant(
+        "src/rankfuse/matrix_ops.py",
+        "np.setbufsize(old)",
+        "pass",
+        (
+            "tests/test_matrix_ops.py::TestRowBuffer::test_one_row_never_raised_and_restored_on_error",
+            "tests/test_ensemble.py::TestUfuncBuffer::test_sweeps_and_fusion_leave_the_buffer_size",
+        ),
+    ),
 }
 
 
