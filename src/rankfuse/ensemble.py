@@ -61,7 +61,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _data, _row_blocks, _row_buffer, _split_blocks, _split_rows
+from .matrix_ops import _BLOCK_CELLS, ScoreMatrix, _block_rows, _cache_blocks, _data, _row_blocks, _row_buffer
 from .matrix_ops import minmax_normalize
 from .matrix_ops import topk_rows  # noqa: F401  perfbench/tracer.py wraps topk_rows here
 from .metrics import (
@@ -603,16 +603,15 @@ def _step_matrix(x: np.ndarray | ScoreMatrix, what: str, shape, normalize: bool,
     ``x`` must have ``shape``, unless that is None; ``out``, if given, is a
     float64 array of that shape that the caller is done with. The caller
     owns the result, so a fold may write over it without touching ``x``.
-    The copy or the rescale is split across row ranges (see
-    :func:`rankfuse.matrix_ops._split_rows`). A span that cannot be
-    rescaled raises ``ValidationError`` prefixed with ``what``.
+    A span that cannot be rescaled raises ``ValidationError`` prefixed
+    with ``what``.
     """
     data = _data(x, what)
     if shape is not None and data.shape != shape:
         raise ShapeError(f"{what} has shape {data.shape}, expected {shape}")
     out = np.empty(data.shape) if out is None else out
     if not normalize:
-        _split_rows(lambda lo, hi: np.copyto(out[lo:hi], data[lo:hi]), *data.shape)
+        np.copyto(out, data)
         return out
     try:
         return minmax_normalize(data, out)
@@ -674,17 +673,12 @@ def iterative_ensemble(
     made: step 1 sweeps against a read-only zero view, and its fold,
     ``fl(fl((1 - w) t) + 0.0)`` whatever ``normalize`` is (the ``+ 0.0``
     turns a raw model's -0.0 to the +0.0 that ``w*0 + (1 - w)*t`` gives),
-    leaves the step buffer as the accumulator. The
-    rescale, the copy and the folds are whole-matrix numpy passes, which
-    release the GIL, so each is split across row ranges on the usable CPUs
-    (:func:`rankfuse.matrix_ops._split_rows`). The rescale and the folds
-    make two or three calls over the same rows, so each range is walked in
-    row blocks of ``2 * _BLOCK_CELLS`` cells, each block's later calls
-    reading it from cache (:func:`rankfuse.matrix_ops._split_blocks`); every
-    element goes through the same calls in the same order, so the bytes
-    are those of whole-matrix passes. The sweep is not split: it makes
-    many small numpy calls a block and holds the GIL between them, and two
-    threads made it slower.
+    leaves the step buffer as the accumulator. The rescale and the folds
+    make two or three numpy calls over the same rows, so they walk row
+    blocks of ``2 * _BLOCK_CELLS`` cells, each block's later calls reading
+    it from cache (:func:`rankfuse.matrix_ops._cache_blocks`); every element
+    goes through the same calls in the same order, so the bytes are those
+    of whole-matrix passes.
 
     Returns
     -------
@@ -708,13 +702,14 @@ def iterative_ensemble(
             t = _step_matrix(models[i], f"model {i}", t.shape, normalize, spare)
         w, value = sweep_weight(np.broadcast_to(0.0, t.shape) if s is None else s, t, gt, grid, metric)
         # Both are this call's own arrays, so the fold writes over them.
-        if s is None:
-            # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0 turns to +0.0.
-            _split_blocks(lambda lo, hi: np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi]), *t.shape)
-            s = t
-        else:
-            _split_blocks(lambda lo, hi: _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi]), *t.shape)
-            spare = t
+        for lo, hi in _cache_blocks(t.shape):
+            if s is None:
+                # w * 0 + (1 - w) * t is (1 - w) * t, bar the -0.0 that + 0.0 turns to +0.0.
+                np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi])
+            else:
+                _blend(w, s[lo:hi], t[lo:hi], out=s[lo:hi], part=t[lo:hi])
+        # Step 1's buffer becomes the accumulator; later ones are spare once folded.
+        s, spare = (t, None) if s is None else (s, t)
         steps.append(EnsembleStep(model_id=model_id, chosen_w=w, metric_value=value))
 
     fused = ScoreMatrix(s)

@@ -2,20 +2,15 @@
 
 The two wrapper types validate the invariants the rest of the library relies
 on (finite entries, 2-D, float64) once, at construction, so downstream code
-can stay plain numpy. Everything here is pure and safe to call concurrently:
-:func:`_split_rows` starts its threads anew on each call and joins them
-before it returns, so it shares nothing between calls and leaves nothing
-running after ``fork``.
+can stay plain numpy. Everything here is pure and runs on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +37,12 @@ _BLOCK_CELLS = 32768
 # finite scan). Each block is read once, so the cache matters less than the
 # per-block call overhead, which made the top-k slower at 32,768 cells; at
 # 2 MB, the top-k's temporaries (a block's bool filter mask and its fold)
-# stay small beside any matrix large enough to be blocked. It is also the
-# fewest cells a row range of a pass split across threads (see _split_rows)
-# holds: such a pass takes hundreds of microseconds, against about 70 for
-# starting and joining a thread.
+# stay small beside any matrix large enough to be blocked.
 _PASS_CELLS = 262144
+# Cells in one row block of a pass that makes two or more numpy calls over
+# the same rows (the min-max extremes and rescale, fusion's folds): a block's
+# later calls read it from cache (see _cache_blocks).
+_CACHE_CELLS = 2 * _BLOCK_CELLS
 
 
 def _block_rows(shape: tuple, cells: int = _BLOCK_CELLS) -> int:
@@ -261,63 +257,16 @@ def cosine_similarity(
     return _finite(ScoreMatrix, unit_a @ unit_b.T)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _split_rows(fn, n_rows: int, n_cols: int) -> None:
-    """Call ``fn(lo, hi)`` on contiguous row ranges that tile ``n_rows`` rows, in parallel.
-
-    There is one range per usable CPU, but none holds fewer than
-    :data:`_PASS_CELLS` cells, so a smaller matrix is one call on this
-    thread. The first range runs here and each other on a thread of its own,
-    inside a copy of this thread's context, so the caller's ``np.errstate``
-    holds there too. Every thread is joined, even on error, and then the
-    exception of the lowest failing range is raised. ``fn`` should spend its
-    time in numpy calls over whole ranges, which release the GIL, and write
-    its results with ``out=``: a thread that allocates much gets a heap of
-    its own from glibc, which stays resident.
-    """
-    parts = max(1, min(_cpus(), n_rows // -(-_PASS_CELLS // n_cols))) if n_cols else 1
-    bounds = [n_rows * i // parts for i in range(parts + 1)]
-    errors = {}
-
-    def run(i):
-        try:
-            fn(bounds[i], bounds[i + 1])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = []
-    try:
-        for i in range(1, parts):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-
-
-def _split_blocks(fn, n_rows: int, n_cols: int) -> None:
-    """:func:`_split_rows`, with ``fn`` called on each range's row blocks of ``2 * _BLOCK_CELLS`` cells.
+def _cache_blocks(shape: tuple):
+    """The ``(lo, hi)`` bounds of the row blocks of :data:`_CACHE_CELLS` cells of a ``shape`` matrix.
 
     For a pass that makes two or more numpy calls over the same rows: each
-    block's later calls read it from cache, where a call over a whole range
-    would read it from memory again. Every element goes through the same
-    calls in the same order, so the result is that of one call a range.
+    block's later calls read it from cache, where a call over the whole
+    matrix would read it from memory again. Every element goes through the
+    same calls in the same order, so the result is that of whole-matrix calls.
     """
-    rows = _block_rows((n_rows, n_cols), 2 * _BLOCK_CELLS)
-
-    def walk(lo, hi):
-        for a in range(lo, hi, rows):
-            fn(a, min(a + rows, hi))
-
-    _split_rows(walk, n_rows, n_cols)
+    rows = _block_rows(shape, _CACHE_CELLS)
+    return _row_blocks(shape[0], rows)
 
 
 @contextlib.contextmanager
@@ -346,11 +295,10 @@ def _row_buffer(n_cols: int):
 
 def _value_span(data: np.ndarray, what: str) -> tuple[float, float]:
     """``(min, max - min)`` of ``data``, each row block's extremes taken
-    while it is in cache, each row range's blocks on its own thread (see
-    :func:`_split_blocks`); a span beyond the float64 maximum is rejected
-    with ``ValidationError`` and no numpy overflow warning."""
-    ends = []
-    _split_blocks(lambda a, b: ends.append((data[a:b].min(), data[a:b].max())), *data.shape)
+    while it is in cache (see :func:`_cache_blocks`); a span beyond the
+    float64 maximum is rejected with ``ValidationError`` and no numpy
+    overflow warning."""
+    ends = [(data[lo:hi].min(), data[lo:hi].max()) for lo, hi in _cache_blocks(data.shape)]
     lo, hi = np.min(ends, axis=0)[0], np.max(ends, axis=0)[1]
     with np.errstate(over="ignore"):
         span = hi - lo
@@ -370,21 +318,19 @@ def minmax_normalize(data: np.ndarray | ScoreMatrix, out: np.ndarray | None = No
     result, ``(data - lo) / span`` with the division done in place, goes
     into ``out``, a float64 array of ``data``'s shape (``data`` itself
     included), or else into a new array, the only one allocated. Both
-    passes, the extremes and the rescale, are split across row ranges and
-    walk each range in cache-sized row blocks (see :func:`_split_blocks`):
-    a block is divided while its subtraction is still in cache. A zero
-    minimum is taken as -0.0, so the result holds no -0.0 whichever zero
-    numpy's reduction returns, and a constant matrix, each of whose entries
-    less the minimum is +0.0, is divided by a span of 1.
+    passes, the extremes and the rescale, walk cache-sized row blocks (see
+    :func:`_cache_blocks`): a block is divided while its subtraction is
+    still in cache. A zero minimum is taken as -0.0, so the result holds no
+    -0.0 whichever zero numpy's reduction returns, and a constant matrix,
+    each of whose entries less the minimum is +0.0, is divided by a span
+    of 1.
     """
     data = _data(data, "matrix")
     lo, span = _value_span(data, "cannot min-max rescale")
     out = np.empty(data.shape) if out is None else out
     lo, span = -0.0 if lo == 0 else lo, span or 1.0
-    _split_blocks(
-        lambda a, b: np.divide(np.subtract(data[a:b], lo, out=out[a:b]), span, out=out[a:b]),
-        *data.shape,
-    )
+    for a, b in _cache_blocks(data.shape):
+        np.divide(np.subtract(data[a:b], lo, out=out[a:b]), span, out=out[a:b])
     return out
 
 

@@ -1,20 +1,13 @@
 import hashlib
-import json
-import os
-import signal
-import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from collections.abc import Sequence
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankfuse.ensemble as ens
-import rankfuse.matrix_ops
 from rankfuse.ensemble import (
     DEFAULT_WEIGHT_GRID,
     RecallAtK,
@@ -26,12 +19,13 @@ from rankfuse.ensemble import (
     sweep_weight,
 )
 from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
-from rankfuse.matrix_ops import _BLOCK_CELLS, ScoreMatrix, _split_rows
+from rankfuse.matrix_ops import _BLOCK_CELLS, _CACHE_CELLS, ScoreMatrix
 from rankfuse.metrics import GroundTruth, query_ranks, recall_at_k
 from rankfuse.synth import SynthConfig, gen_model_scores
 
 import sweep_cases
 from sweep_cases import check_sweep, prefilter_floor, separated, stable_sort_ranks, tie_heavy
+from test_matrix_ops import small_blocks
 
 
 def complementary_pair():
@@ -1533,28 +1527,7 @@ class TestStreamedFusion:
                 assert results[0][1] == results[1][1]
 
 
-# Fused bytes of three 4-model fusions (min-max rescaled, raw, and from a
-# warm start) of the instance saved at argv[2]; with "pinned" in argv[1],
-# the process first pins itself to one CPU.
-_FUSED_BYTES = """
-import hashlib, json, os, sys
-import numpy as np
-from rankfuse.ensemble import RecallAtK, WeightGrid, iterative_ensemble
-from rankfuse.metrics import GroundTruth
-if sys.argv[1] == "pinned":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-saved = np.load(sys.argv[2])
-mats, init = [saved[f"model{i}"] for i in range(4)], saved["init"]
-gt = GroundTruth(relevant=tuple(map(tuple, saved["relevant"].tolist())), gallery_size=init.shape[1])
-out = {"cpus": len(os.sched_getaffinity(0))}
-for name, normalize, start in (("normalize", True, None), ("raw", False, None), ("init", True, init)):
-    fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
-    out[name] = [hashlib.sha256(fused.data.tobytes()).hexdigest(), [s.chosen_w for s in trace.steps]]
-print(json.dumps(out))
-"""
-
-
-def split_instance(n: int, m: int):
+def fusion_instance(n: int, m: int):
     """Four n x m models, a warm start, and the (n, 2) relevant items of each query.
 
     Every model holds -0.0 in three cells, and the first also the smallest
@@ -1581,14 +1554,8 @@ def rebuilt_bytes(mats, init, normalize: bool, weights) -> str:
     return hashlib.sha256(s.tobytes()).hexdigest()
 
 
-def force_split(monkeypatch, cpus: int) -> None:
-    """Have ``matrix_ops._split_rows`` see ``cpus`` CPUs and split ranges of 2 cells or more."""
-    monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: cpus)
-    monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", 2)
-
-
-class TestSplitFusion:
-    """Fusion passes split across row ranges give the bytes of whole-matrix passes."""
+class TestBlockedFusion:
+    """Fusion passes over row blocks give the bytes of whole-matrix passes."""
 
     CONFIGS = (("normalize", True, False), ("raw", False, False), ("init", True, True))
 
@@ -1599,32 +1566,9 @@ class TestSplitFusion:
         fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
         return fused.data.tobytes() + repr(trace).encode()
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_bytes_pinned_to_one_cpu_and_unpinned(self, tmp_path):
-        # 600 x 1000 splits into two ranges wherever two CPUs are usable.
-        mats, init, relevant = split_instance(600, 1000)
-        saved = tmp_path / "instance.npz"
-        np.savez(saved, init=init, relevant=relevant, **{f"model{i}": m for i, m in enumerate(mats)})
-        src = str(Path(ens.__file__).resolve().parent.parent)
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        runs = [
-            json.loads(subprocess.run(
-                [sys.executable, "-c", _FUSED_BYTES, pin, str(saved)],
-                capture_output=True, text=True, timeout=300, check=True,
-                env={**os.environ, "PYTHONPATH": pythonpath},
-            ).stdout)
-            for pin in ("pinned", "unpinned")
-        ]
-        assert runs[0].pop("cpus") == 1
-        runs[1].pop("cpus")
-        assert runs[0] == runs[1]
-        for name, normalize, with_init in self.CONFIGS:
-            digest, weights = runs[0][name]
-            assert digest == rebuilt_bytes(mats, init if with_init else None, normalize, weights)
-
     def test_four_models_make_two_full_size_arrays(self, monkeypatch):
         # 400 x 200 is past one sweep block, so only the step buffers are full-size.
-        mats, init, relevant = split_instance(400, 200)
+        mats, init, relevant = fusion_instance(400, 200)
         made, empty = [], np.empty
 
         def counted(shape, dtype=float, *args, **kwargs):
@@ -1640,10 +1584,9 @@ class TestSplitFusion:
             assert len(made) == 2
 
     def test_concurrent_callers_get_the_serial_bytes(self, monkeypatch):
-        mats, init, relevant = split_instance(30, 20)
-        force_split(monkeypatch, 1)
+        mats, init, relevant = fusion_instance(30, 20)
         want = [self.fused(mats, init, relevant, *c[1:]) for c in self.CONFIGS]
-        force_split(monkeypatch, 3)
+        small_blocks(monkeypatch, 2)
         got, errors = [], []
 
         def caller():
@@ -1653,7 +1596,7 @@ class TestSplitFusion:
             except BaseException as exc:
                 errors.append(exc)
 
-        # Two callers of three ranges each: more threads than cores, switched often.
+        # Two callers walking one-row blocks, each under its own row buffer, switched often.
         callers = [threading.Thread(target=caller) for _ in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1668,40 +1611,30 @@ class TestSplitFusion:
         assert errors == []
         assert got == [want] * 8
 
-    # One row; at two CPUs, ranges of one full and one partial 65-row block
-    # (at one, blocks of 65, 65 and 1 rows); one-row blocks.
-    @pytest.mark.parametrize("n, m", [(1, 1000), (131, 1000), (3, 2 * _BLOCK_CELLS + 5)])
-    def test_ranges_that_cut_blocks_unevenly(self, monkeypatch, n, m):
-        mats, init, relevant = split_instance(n, m)
+    # One row; blocks of 65, 65 and 1 rows (at 3000 cells, of 3 rows and a
+    # last of 2); one-row blocks; a fuse-sized instance of 600 x 1000.
+    @pytest.mark.parametrize("n, m", [(1, 1000), (131, 1000), (3, 2 * _BLOCK_CELLS + 5), (600, 1000)])
+    def test_blocks_cut_unevenly(self, monkeypatch, n, m):
+        mats, init, relevant = fusion_instance(n, m)
         gt = GroundTruth(relevant=tuple(map(tuple, relevant.tolist())), gallery_size=m)
-        for cpus in (1, 2):
-            force_split(monkeypatch, cpus)
+        for cells in (_CACHE_CELLS, 3000):
+            small_blocks(monkeypatch, cells)
             for _, normalize, with_init in self.CONFIGS:
                 start = init if with_init else None
                 fused, trace = iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(2), normalize, start)
                 weights = [step.chosen_w for step in trace.steps]
                 assert hashlib.sha256(fused.data.tobytes()).hexdigest() == rebuilt_bytes(mats, start, normalize, weights)
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-    def test_forked_child_fuses_after_a_split_fusion(self, monkeypatch):
-        mats, init, relevant = split_instance(30, 20)
-        force_split(monkeypatch, 3)
-        want = self.fused(mats, init, relevant, True, True)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if self.fused(mats, init, relevant, True, True) == want else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 120
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its fusion")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
+    def test_fusion_starts_no_thread(self, monkeypatch):
+        mats, init, relevant = fusion_instance(600, 1000)
+
+        def refused(thread):
+            raise AssertionError(f"fusion started a thread: {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        for _, normalize, with_init in self.CONFIGS:
+            self.fused(mats, init, relevant, normalize, with_init)
+        assert minmax_normalize(mats[0]).shape == (600, 1000)
 
 
 class TestUfuncBuffer:
@@ -1719,7 +1652,7 @@ class TestUfuncBuffer:
         gt = GroundTruth(relevant=tuple(rng.choice(m, size=1 + q % 3, replace=False) for q in range(n)), gallery_size=m)
         return mats, gt
 
-    def test_sweeps_and_fusion_leave_the_buffer_size(self, monkeypatch):
+    def test_sweeps_and_fusion_leave_the_buffer_size(self):
         mats, gt = self.instance()
         before = np.getbufsize()
         for k in (1, 5):
@@ -1729,22 +1662,6 @@ class TestUfuncBuffer:
             assert np.getbufsize() == before
             iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(k))
             assert np.getbufsize() == before
-        # In split workers too, which see their caller's size.
-        force_split(monkeypatch, 2)
-        want = sweep_weight(mats[0], mats[1], gt, WeightGrid(), RecallAtK(5))
-        seen = []
-
-        def fn(lo, hi):
-            size = np.getbufsize()
-            got = sweep_weight(mats[0], mats[1], gt, WeightGrid(), RecallAtK(5))
-            iterative_ensemble(mats, gt, WeightGrid(), RecallAtK(5))
-            seen.append((lo, size, np.getbufsize(), got == want))
-
-        with np.errstate():
-            np.setbufsize(4096)
-            _split_rows(fn, 4, 1)
-        assert sorted(seen) == [(0, 4096, 4096, True), (2, 4096, 4096, True)]
-        assert np.getbufsize() == before
 
     # np.greater runs inside the row buffer in the zero shortcut's band
     # count, and np.subtract in the float32 filter's shifted copies.

@@ -1,8 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +16,14 @@ from rankfuse.errors import (
 from rankfuse.io_files import load_matrix, write_matrix
 from rankfuse.matrix_ops import (
     _BLOCK_CELLS,
+    _CACHE_CELLS,
     _PASS_CELLS,
     EmbeddingMatrix,
     ScoreMatrix,
     _block_rows,
+    _cache_blocks,
     _finite,
     _row_buffer,
-    _split_rows,
     cosine_similarity,
     l2_normalize_rows,
     minmax_normalize,
@@ -384,82 +383,49 @@ class TestL2Normalize:
         np.testing.assert_allclose(np.linalg.norm(out.data, axis=1), 1.0, atol=1e-12)
 
 
-def force_split(monkeypatch, cpus: int, cells: int = 2) -> None:
-    """Have :func:`_split_rows` see ``cpus`` CPUs and split ranges of at least ``cells`` cells."""
-    monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: cpus)
-    monkeypatch.setattr(rankfuse.matrix_ops, "_PASS_CELLS", cells)
+def small_blocks(monkeypatch, cells: int) -> None:
+    """Have :func:`_cache_blocks` walk row blocks of ``cells`` cells (at least one row)."""
+    monkeypatch.setattr(rankfuse.matrix_ops, "_CACHE_CELLS", cells)
 
 
-class TestSplitRows:
+class TestCacheBlocks:
     @staticmethod
-    def calls(n: int, m: int) -> list:
-        """The ``(lo, hi, ran on this thread)`` of each call over n x m, in row order."""
-        here, calls = threading.get_ident(), []
-        _split_rows(lambda lo, hi: calls.append((lo, hi, threading.get_ident() == here)), n, m)
-        return sorted(calls)
+    def rows(shape: tuple) -> list:
+        """The row count of each block of a ``shape`` matrix, after checking they tile its rows in order."""
+        blocks = list(_cache_blocks(shape))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == shape[0]
+        return [hi - lo for lo, hi in blocks]
 
-    def test_rows_covered_once(self, monkeypatch):
-        # Below the threshold: one call on this thread, whatever the CPUs.
-        force_split(monkeypatch, 4, cells=100)
-        assert self.calls(9, 10) == [(0, 9, True)]
-        assert self.calls(19, 10) == [(0, 19, True)]
-        # Ranges of at least 100 cells, one per CPU at most; the first runs
-        # here and every other on a thread of its own.
-        assert self.calls(20, 10) == [(0, 10, True), (10, 20, False)]
-        assert self.calls(43, 10) == [(0, 10, True), (10, 21, False), (21, 32, False), (32, 43, False)]
-        assert self.calls(1000, 1) == [(0, 250, True), (250, 500, False), (500, 750, False), (750, 1000, False)]
-        # One CPU: one call on this thread, however large the matrix.
-        force_split(monkeypatch, 1, cells=100)
-        assert self.calls(1000, 10) == [(0, 1000, True)]
-        # No rows or no columns: one call.
-        force_split(monkeypatch, 4, cells=1)
-        assert self.calls(0, 10) == [(0, 0, True)]
-        assert self.calls(50, 0) == [(0, 50, True)]
+    def test_rows_covered_once_in_order(self):
+        for shape in ((1, 1), (9, 10), (131, 1000), (1000, 1), (3, 2 * _BLOCK_CELLS + 5)):
+            assert sum(self.rows(shape)) == shape[0]
 
-    def test_no_range_below_pass_cells(self, monkeypatch):
-        monkeypatch.setattr(rankfuse.matrix_ops, "_cpus", lambda: 2)
+    def test_blocks_of_cache_cells_and_a_last_partial_block(self):
         m = 1000
-        rows = -(-_PASS_CELLS // m)
-        assert self.calls(2 * rows - 1, m) == [(0, 2 * rows - 1, True)]
-        assert self.calls(2 * rows, m) == [(0, rows, True), (rows, 2 * rows, False)]
+        rows = _CACHE_CELLS // m
+        assert self.rows((2 * rows + 1, m)) == [rows, rows, 1]
+        assert self.rows((3 * rows, m)) == [rows] * 3
+        # A row wider than a block still makes a block of its own.
+        assert self.rows((3, _CACHE_CELLS + 1)) == [1, 1, 1]
 
-    def test_lowest_failing_range_raised_after_every_range_ran(self, monkeypatch):
-        force_split(monkeypatch, 3)
-        done = []
+    def test_a_matrix_within_one_block_is_one_block(self):
+        assert list(_cache_blocks((1, 1))) == [(0, 1)]
+        assert list(_cache_blocks((7, _CACHE_CELLS // 7))) == [(0, 7)]
+        assert list(_cache_blocks((_CACHE_CELLS, 1))) == [(0, _CACHE_CELLS)]
 
-        def fn(lo, hi):
-            if lo in failing:
-                raise ValueError(f"range at {lo}")
-            # The other ranges outlast a failure on this thread.
-            time.sleep(0.05)
-            done.append(lo)
-
-        for failing in ({0}, {2}, {4}, {2, 4}, {0, 4}):
-            done.clear()
-            threads = threading.active_count()
-            with pytest.raises(ValueError, match=f"^range at {min(failing)}$"):
-                _split_rows(fn, 6, 1)
-            assert sorted(done) == sorted({0, 2, 4} - failing)
-            assert threading.active_count() == threads
-
-    def test_worker_ranges_take_the_callers_errstate(self, monkeypatch):
-        force_split(monkeypatch, 2)
-        # Only the second range, which runs on a new thread, overflows.
-        x = np.array([[1.0], [1.0], [1e300], [1e300]])
-        out = np.empty_like(x)
-
-        def fn(lo, hi):
-            np.multiply(x[lo:hi], 1e300, out=out[lo:hi])
-
-        with np.errstate(over="ignore"):
-            _split_rows(fn, 4, 1)
-        np.testing.assert_array_equal(out, [[1e300], [1e300], [np.inf], [np.inf]])
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            _split_rows(fn, 4, 1)
+    def test_small_blocks_shrinks_the_walk(self, monkeypatch):
+        # The block size the byte tests below and in test_ensemble.py rely on.
+        small_blocks(monkeypatch, 12)
+        assert self.rows((11, 5)) == [2] * 5 + [1]
+        assert self.rows((40, 1)) == [12, 12, 12, 4]
+        assert self.rows((2, 9)) == [1, 1]
+        small_blocks(monkeypatch, 3000)
+        assert self.rows((131, 1000)) == [3] * 43 + [2]
 
 
-class TestSplitMinmax:
-    """``minmax_normalize`` over row ranges gives the bytes of one whole-matrix pass."""
+class TestBlockedMinmax:
+    """``minmax_normalize`` over row blocks gives the bytes of one whole-matrix pass."""
 
     @staticmethod
     def whole(x: np.ndarray) -> np.ndarray:
@@ -468,7 +434,8 @@ class TestSplitMinmax:
 
     def test_bytes_in_place_and_into_a_spent_buffer(self, monkeypatch):
         rng = np.random.default_rng(40)
-        force_split(monkeypatch, 3)
+        # Blocks of 2 rows of (11, 5), 12 rows of (40, 1) and 1 row of (2, 9).
+        small_blocks(monkeypatch, 12)
         for x in (rng.uniform(-7, 3, (11, 5)), rng.standard_normal((40, 1)), rng.random((2, 9)) * 1e300):
             want = self.whole(x).tobytes()
             assert minmax_normalize(x).tobytes() == want
@@ -480,27 +447,26 @@ class TestSplitMinmax:
             assert y.tobytes() == want
 
     def test_constant_matrix_and_zero_signs(self, monkeypatch):
-        force_split(monkeypatch, 2)
+        small_blocks(monkeypatch, 2)
         spent = np.full((6, 2), 7.0)
         assert minmax_normalize(np.full((6, 2), -3.0), out=spent) is spent
         assert spent.tobytes() == np.zeros((6, 2)).tobytes()
-        # A zero minimum of either sign, in either range: the result holds no -0.0.
+        # A zero minimum of either sign, in any one-row block: the result holds no -0.0.
         x = np.array([[0.0, 1.0], [-0.0, 2.0], [2.0, 0.0], [-0.0, 4.0]])
         for data in (x, x[::-1].copy(), -x):
             out = minmax_normalize(data)
             assert not np.signbit(out).any()
             np.testing.assert_array_equal(out, self.whole(data))
 
-    # One row; two ranges of one full and one partial 65-row block (a
-    # single range: blocks of 65, 65 and 1 rows); one-row blocks.
+    # One row; blocks of 65, 65 and 1 rows (at 3000 cells, of 3 rows and a last of 2); one-row blocks.
     @pytest.mark.parametrize("shape", [(1, 1000), (131, 1000), (3, 2 * _BLOCK_CELLS + 5)])
-    def test_ranges_that_cut_blocks_unevenly(self, monkeypatch, shape):
+    def test_blocks_cut_unevenly(self, monkeypatch, shape):
         x = np.random.default_rng(42).uniform(-7, 3, shape)
-        # Both extremes in the last row, the last block of the last range.
+        # Both extremes in the last row, the last block.
         x[-1, 0], x[-1, -1] = -9.0, 4.0
         want = self.whole(x).tobytes()
-        for cpus in (1, 2):
-            force_split(monkeypatch, cpus)
+        for cells in (_CACHE_CELLS, 3000):
+            small_blocks(monkeypatch, cells)
             assert minmax_normalize(x).tobytes() == want
             y = x.copy()
             minmax_normalize(y, out=y)
@@ -509,8 +475,9 @@ class TestSplitMinmax:
     def test_span_past_float64_max_same_message(self, monkeypatch):
         x = np.array([[1e308, 0.0], [2.0, 3.0], [4.0, 5.0], [-1e308, 6.0]])
         messages = []
-        for cpus in (1, 2):
-            force_split(monkeypatch, cpus)
+        # One block, then one-row blocks: the two extremes in different blocks.
+        for cells in (_CACHE_CELLS, 2):
+            small_blocks(monkeypatch, cells)
             with pytest.raises(ValidationError) as exc:
                 minmax_normalize(x, out=np.empty_like(x))
             messages.append(str(exc.value))
@@ -538,29 +505,16 @@ class TestRowBuffer:
             assert np.getbufsize() == 512
         assert np.getbufsize() == before
 
-    def test_topk_rows_leaves_the_buffer_size(self, monkeypatch):
+    def test_topk_rows_leaves_the_buffer_size(self):
         data = np.random.default_rng(43).random((140, 2000))
         before = np.getbufsize()
-        want = [topk_rows(data, k).indices.tobytes() for k in (1, 10)]
-        assert np.getbufsize() == before
-        # In split workers too, which see their caller's size.
-        force_split(monkeypatch, 2)
-        seen = []
-
-        def fn(lo, hi):
-            size = np.getbufsize()
-            got = [topk_rows(data, k).indices.tobytes() for k in (1, 10)]
-            seen.append((lo, size, np.getbufsize(), got == want))
-
-        with np.errstate():
-            np.setbufsize(4096)
-            _split_rows(fn, 4, 1)
-        assert sorted(seen) == [(0, 4096, 4096, True), (2, 4096, 4096, True)]
-        assert np.getbufsize() == before
+        for k in (1, 10):
+            topk_rows(data, k)
+            assert np.getbufsize() == before
 
 
 def test_import_loads_no_pool_module():
-    """``import rankfuse`` pulls in no thread pool: the split starts plain threads."""
+    """``import rankfuse`` pulls in no thread pool: the library runs on the calling thread."""
     src = str(Path(rankfuse.matrix_ops.__file__).resolve().parent.parent)
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = "import sys; import numpy; import rankfuse; print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"

@@ -59,7 +59,7 @@ MUTANTS = {
         "np.add(np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi]), 0.0, out=t[lo:hi])",
         "np.multiply(1.0 - w, t[lo:hi], out=t[lo:hi])",
         (
-            "tests/test_ensemble.py::TestSplitFusion::test_bytes_pinned_to_one_cpu_and_unpinned",
+            "tests/test_ensemble.py::TestBlockedFusion::test_blocks_cut_unevenly",
             "tests/test_ensemble.py::TestPinnedBytes::test_fusion_bytes_pinned",
         ),
     ),
@@ -77,13 +77,13 @@ MUTANTS = {
         "return _band_ranks(x, g, -g, proof or mask, out)",
         ("tests/test_ensemble.py::TestAnchorPruning::test_anchors_with_an_offset_keep_the_lead_ahead_mask",),
     ),
-    # The block walk of the split passes (the folds, the step-1 scale and
-    # both min-max passes) leaves out each range's last partial block.
-    "blocked fold skips a range's last partial block": Mutant(
+    # The block walk of the folds, the step-1 scale and both min-max passes
+    # leaves out its last partial block.
+    "block walk skips its last partial block": Mutant(
         "src/rankfuse/matrix_ops.py",
-        "fn(a, min(a + rows, hi))",
-        "a + rows <= hi and fn(a, a + rows)",
-        ("tests/test_ensemble.py::TestSplitFusion::test_ranges_that_cut_blocks_unevenly",),
+        "return _row_blocks(shape[0], rows)",
+        "return _row_blocks(shape[0] - shape[0] % rows, rows)",
+        ("tests/test_ensemble.py::TestBlockedFusion::test_blocks_cut_unevenly",),
     ),
     # The row buffer leaves numpy's ufunc buffer at one row.
     "row buffer not restored": Mutant(
