@@ -489,11 +489,9 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
     floor[np.isnan(floor)] = -np.inf
     # From t alone, for the blocks whose rows of s are all zero.
     t_best = _best_relevant(tp, gt)[0]
-    # Each weight between two anchors, mapped to the two, and the second
-    # anchor of each such pair, mapped to the first.
+    # Each weight between two anchors, mapped to the two.
     anchors = _anchors(weights)
     between = {i: (a, b) for a, b in zip(anchors, anchors[1:]) for i in range(a + 1, b)}
-    closes = {b: a for a, b in between.values()}
     rows = _block_rows(t.shape, 2 * _BLOCK_CELLS)
     blend, part = np.empty((rows, m)), np.empty((rows, m))
     mask = np.empty((rows, m), bool)
@@ -550,8 +548,9 @@ def _sweep_values(s: np.ndarray, t: np.ndarray, gt: GroundTruth, weights: tuple,
             elif g := guards[i]:
                 proof = i in turn and tuple(scratch[turn[i]][:, :r])
                 rest = _filter_ranks(ds, dt, off[i], w, g, x32, part32, mask[:r], ranks[i, q], proof) + lo
-                a = closes.get(i)
-                if a is not None and guards[a]:
+                # The pair this anchor closes, if any: the one holding weight i - 1.
+                a, b = between.get(i - 1, (0, -1))
+                if b == i and guards[a]:
                     cells = _undecided(tuple(scratch[turn[a]][:, :r]), proof, k, ranks[a + 1, q])
                     ranks[a + 2 : i, q] = ranks[a + 1, q]
                     queue.setdefault((a + 1, i), []).append(cells + lo * m)

@@ -5,8 +5,8 @@ Two matrix formats are supported:
 * ``array`` -- the standard binary array container, version 1.0 only
   (magic ``\\x93NUMPY``), restricted to little-endian float32/float64,
   row-major, 2-D. The parser is deliberately hand-rolled so malformed files
-  are rejected with byte offsets and the writer round-trips float64 payloads
-  bit-exactly.
+  are rejected with byte offsets; the writer takes its header from numpy's
+  own header writer and round-trips float64 payloads bit-exactly.
 * ``csv`` -- comma-separated decimal floats, one row per line, written with
   shortest round-trip formatting.
 
@@ -150,16 +150,11 @@ def _load_array(path) -> np.ndarray:
 
 
 def _write_array(arr: np.ndarray, path) -> None:
-    header = "{'descr': '<f8', 'fortran_order': False, 'shape': (%d, %d), }" % arr.shape
-    # Pad so the payload starts on a 64-byte boundary, newline-terminated.
-    pad = (-(10 + len(header) + 1)) % 64
-    header = header + " " * pad + "\n"
+    arr = np.ascontiguousarray(arr, "<f8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes((1, 0)))
-        fh.write(len(header).to_bytes(2, "little"))
-        fh.write(header.encode("latin-1"))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
+        # Not np.lib.format.write_array, whose tofile fails on /dev/stdout.
+        np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(arr))
+        fh.write(arr)
 
 
 def _reject_undecoded(path, text: str, lineno: int = 1) -> None:
@@ -241,24 +236,19 @@ def load_matrix(path, format: str = "array") -> np.ndarray:
 def write_matrix(m, path, format: str = "array") -> None:
     """Write a matrix (ndarray or a wrapper with a ``.data`` array).
 
-    A matrix that is not 2-D, or has no rows or no columns, which
-    :func:`load_matrix` would refuse, raises ``ValidationError`` naming
-    ``path`` and writes nothing. So does a matrix holding NaN or inf, with
-    the first such cell's (row, column): a plain array or nested list is
-    scanned in row blocks, while a wrapper's data (``ScoreMatrix``,
+    A plain array or nested list goes through ``matrix_ops._as_matrix``, as
+    every matrix :func:`load_matrix` reads does, and its errors are that
+    function's, naming ``path``: ``ValidationError`` for data that is not
+    numbers or holds NaN or inf (with the first such cell's (row, column)),
+    ``ShapeError`` for a matrix that is not 2-D or has no rows or no
+    columns. Nothing is written then. A wrapper's data (``ScoreMatrix``,
     ``EmbeddingMatrix``) was checked when it was built and is trusted.
     Wrappers are told apart by ``isinstance(m, np.ndarray)``, never by
     their type, as in ``matrix_ops._data``. float64 array files round-trip
     bit-exactly through :func:`load_matrix`.
     """
     wrapped = not isinstance(m, np.ndarray) and hasattr(m, "data")
-    arr = np.asarray(m.data if wrapped else m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{path}: can only write 2-D matrices, got shape {arr.shape}")
-    if not arr.size:
-        raise ValidationError(f"{path}: cannot write a matrix with no rows or no columns, got shape {arr.shape}")
-    if not wrapped:
-        _as_matrix(arr, str(path))
+    arr = m.data if wrapped else _as_matrix(m, str(path))
     _format(format)[1](arr, path)
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .matrix_ops import ScoreMatrix, _check_row_sums
+from .matrix_ops import ScoreMatrix, _as_array, _check_row_sums
 from .metrics import _is_integer
 
 __all__ = [
@@ -64,8 +64,8 @@ class ItmBatch:
     probs: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.float64).ravel()
-        probs = np.asarray(self.probs, dtype=np.float64).ravel()
+        labels = _as_array(self.labels, "labels").ravel()
+        probs = _as_array(self.probs, "probs").ravel()
         if labels.size == 0:
             raise ParameterError("matching batch is empty")
         if labels.shape != probs.shape:
@@ -96,7 +96,7 @@ class MlmBatch:
     target_index: np.ndarray
 
     def __post_init__(self):
-        pred = np.asarray(self.predicted, dtype=np.float64)
+        pred = _as_array(self.predicted, "predicted")
         # Kept as objects, so a float, bool or NaN target is named, not truncated.
         targets = np.asarray(self.target_index, dtype=object).ravel()
         if pred.ndim != 2:
@@ -141,7 +141,7 @@ class ImageTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+        arr = _as_array(self.data, "image")
         if not np.all(np.isfinite(arr)):
             flat = int(np.flatnonzero(~np.isfinite(arr.ravel()))[0])
             raise ValidationError(f"image has non-finite value at flat index {flat}")
@@ -159,8 +159,9 @@ class MaskSpec:
     masked_flags: np.ndarray
 
     def __post_init__(self):
-        flags = np.asarray(self.masked_flags)
-        if flags.dtype != np.bool_:
+        flags = self.masked_flags
+        if not (isinstance(flags, np.ndarray) and flags.dtype == np.bool_):
+            flags = _as_array(flags, "masked_flags")
             bad = (flags != 0) & (flags != 1)
             if bad.any():
                 at = tuple(int(i) for i in np.argwhere(bad)[0])

@@ -57,19 +57,28 @@ def _row_blocks(n: int, rows: int):
         yield lo, min(lo + rows, n)
 
 
+def _as_array(data, what: str) -> np.ndarray:
+    """``data`` as a float64 array of any shape.
+
+    A float64 array comes back as itself, with no copy. Data numpy cannot
+    turn into float64 (a ragged list, strings) raises ``ValidationError``
+    naming ``what``.
+    """
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not an array of numbers: {exc}") from None
+
+
 def _as_matrix(data, what: str) -> np.ndarray:
     """``data`` as a 2-D float64 array with at least one row and column, all finite.
 
-    A float64 array comes back as itself, with no copy. Data numpy cannot
-    turn into float64 (a ragged list, strings) raises ``ValidationError``.
-    The finite check walks row blocks through one reused bool buffer, so it
-    builds no temporary as large as the matrix; the error still names the
-    first non-finite cell by its (row, column) in the whole matrix.
+    The conversion is :func:`_as_array`'s. The finite check walks row
+    blocks through one reused bool buffer, so it builds no temporary as
+    large as the matrix; the error still names the first non-finite cell
+    by its (row, column) in the whole matrix.
     """
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a matrix of numbers: {exc}") from None
+    arr = _as_array(data, what)
     if arr.ndim != 2:
         raise ShapeError(f"{what} must be 2-D, got shape {arr.shape}")
     n, m = arr.shape
@@ -176,19 +185,26 @@ class ScoreMatrix:
 
 @dataclass(frozen=True)
 class TopKResult:
-    """Per-row top-k gallery indices (descending score, ties to lower index)."""
+    """Per-row top-k gallery indices (descending score, ties to lower index).
+
+    Both arrays are converted by ``_as_array``; ``indices`` must hold
+    finite whole numbers, else ``ValidationError``.
+    """
 
     indices: np.ndarray  # (n_rows, k) int64
     values: np.ndarray  # (n_rows, k) float64
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
+        idx, val = _as_array(self.indices, "top-k indices"), _as_array(self.values, "top-k values")
         if idx.shape != val.shape or idx.ndim != 2:
             raise ShapeError(f"indices {idx.shape} and values {val.shape} must be equal 2-D shapes")
+        whole = np.isfinite(idx) & (idx == np.trunc(idx))
+        if not whole.all():
+            i, j = np.argwhere(~whole)[0]
+            raise ValidationError(f"top-k index at ({i}, {j}) is {idx[i, j]!r}, expected a whole number")
         if np.any(np.diff(val, axis=1) > 0):
             raise ValidationError("top-k values must be non-increasing within each row")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(np.int64))
         object.__setattr__(self, "values", val)
 
     @property

@@ -17,8 +17,12 @@ as the float64 array they convert to, and anything else must end in a
 ``RankfuseError`` that names the argument; so must a float64 array with
 no rows or no columns, which ``write_matrix`` must refuse, naming the path,
 before it writes a file. It must refuse a plain matrix holding NaN or inf
-the same way, naming the first such cell, and scan no wrapper. A weight grid that is not a sequence of numbers
-must end in a ``ParameterError`` that names it.
+the same way, naming the first such cell, and scan no wrapper. Every other
+public entry point that takes an array (``write_matrix`` itself, the loss
+batches, images, masks and ``TopKResult``) must end a ragged or non-numeric
+input in a ``RankfuseError`` that names the argument or the path, and write
+no file. A weight grid that is not a sequence of numbers must end in a
+``ParameterError`` that names it.
 """
 
 import json
@@ -31,11 +35,13 @@ import rankfuse.cli
 import rankfuse.io_files
 from rankfuse.cli import run_cli
 from rankfuse.ensemble import WeightGrid, iterative_ensemble, sweep_weight
-from rankfuse.errors import ParameterError, RankfuseError, ValidationError
+from rankfuse.errors import ParameterError, RankfuseError, ShapeError, ValidationError
 from rankfuse.io_files import write_matrix
-from rankfuse.matrix_ops import EmbeddingMatrix, ScoreMatrix, _finite, minmax_normalize, topk_rows
+from rankfuse.losses import ImageTensor, ItmBatch, MaskSpec, MlmBatch, mim_loss, mim_loss_grad
+from rankfuse.matrix_ops import EmbeddingMatrix, ScoreMatrix, TopKResult, _finite, minmax_normalize, topk_rows
 from rankfuse.metrics import GroundTruth, metrics_report
 from rankfuse.selection import select_topk_features
+from rankfuse.view_sampling import Branch, CropSpec, ViewDecision, apply_transform
 
 N_QUERIES, N_GALLERY, DIM = 4, 5, 3
 CASES_PER_TARGET = 60
@@ -349,7 +355,8 @@ def test_entry_points_reject_malformed_matrices_naming_the_argument(entry, kind)
 @pytest.mark.parametrize("fmt", ["array", "csv"])
 def test_write_matrix_refuses_empty_matrices_naming_the_path(tmp_path, kind, fmt):
     path = tmp_path / f"empty.{fmt}"
-    with pytest.raises(ValidationError, match=re.escape(f"{path}: cannot write a matrix with no rows")):
+    shape = EMPTY[kind].shape
+    with pytest.raises(ShapeError, match=re.escape(f"{path} must have at least one row and one column, got {shape}")):
         write_matrix(EMPTY[kind], path, fmt)
     assert not path.exists()
 
@@ -378,6 +385,46 @@ def test_write_matrix_scans_plain_matrices_and_trusts_wrappers(tmp_path, monkeyp
     for m in (x, x.tolist()):
         write_matrix(m, path)
     assert scanned == [str(path)] * 2
+
+
+# Each public entry point with an array argument not covered above, as (what
+# its errors name, or None for the path it is given, and a call that feeds x
+# there and valid inputs everywhere else).
+_LOCAL = ViewDecision(0.9, Branch.LOCAL)
+ARRAY_ARGUMENTS = {
+    "write_matrix array": (None, lambda x, path: write_matrix(x, path)),
+    "write_matrix csv": (None, lambda x, path: write_matrix(x, path, "csv")),
+    "ItmBatch labels": ("labels", lambda x, path: ItmBatch(x, [0.5, 0.5])),
+    "ItmBatch probs": ("probs", lambda x, path: ItmBatch([0, 1], x)),
+    "MlmBatch": ("predicted", lambda x, path: MlmBatch(x, [0, 0])),
+    "ImageTensor": ("image", lambda x, path: ImageTensor(x)),
+    "mim_loss": ("image", lambda x, path: mim_loss(x, [[1.0]], MaskSpec([[True]]))),
+    "mim_loss_grad original": ("image", lambda x, path: mim_loss_grad([[1.0]], x, MaskSpec([[True]]))),
+    "apply_transform": ("image", lambda x, path: apply_transform(x, _LOCAL, CropSpec(), np.random.default_rng(0))),
+    "MaskSpec": ("masked_flags", lambda x, path: MaskSpec(x)),
+    "TopKResult indices": ("top-k indices", lambda x, path: TopKResult(x, [[1.0], [1.0]])),
+    "TopKResult values": ("top-k values", lambda x, path: TopKResult([[0], [0]], x)),
+}
+# Inputs numpy cannot turn into a float64 array.
+UNCONVERTIBLE = {"ragged": [[1.0], [1.0, 2.0]], "non-numeric": [["a"]]}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_ARGUMENTS))
+@pytest.mark.parametrize("kind", list(UNCONVERTIBLE))
+def test_array_arguments_refuse_what_is_not_numbers_naming_them(tmp_path, entry, kind):
+    what, call = ARRAY_ARGUMENTS[entry]
+    path = tmp_path / "out"
+    with pytest.raises(RankfuseError, match=re.escape(what or str(path))):
+        call(UNCONVERTIBLE[kind], path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("index", [1.5, float("nan"), float("inf")])
+def test_topk_result_refuses_indices_that_are_not_whole_numbers(index):
+    with pytest.raises(ValidationError, match=re.escape("top-k index at (0, 1)")):
+        TopKResult([[1.0, index]], [[1.0, 0.5]])
+    # Whole numbers of any dtype are taken as int64.
+    assert TopKResult([[1.0, 0.0]], [[1.0, 0.5]]).indices.dtype == np.int64
 
 
 # Weight grids that are not a sequence of numbers.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rankfuse.cli import run_cli
-from rankfuse.errors import FormatError, ValidationError
+from rankfuse.errors import FormatError, ShapeError, ValidationError
 from rankfuse.io_files import (
     ModelEntry,
     array_shape,
@@ -70,6 +70,16 @@ class TestArrayFormat:
         np.save(theirs, arr)
         np.testing.assert_array_equal(load_matrix(theirs), arr)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (1000, 1000), (12345, 7), (7, 123456), (999999, 2)])
+    def test_written_bytes_match_the_hand_built_header(self, tmp_path, shape):
+        # The writer takes its header from numpy's; npy_bytes builds it by
+        # hand, so a numpy that pads it otherwise fails here rather than
+        # moving the bytes of every written file.
+        arr = np.random.default_rng(2).random(shape)
+        p = tmp_path / "m.npy"
+        write_matrix(arr, p)
+        assert p.read_bytes() == npy_bytes(shape=shape, payload=arr.tobytes())
+
     def test_float32_widened(self, tmp_path):
         # float32 is widened and float64 kept; either way the result is an
         # owned, writable float64 array.
@@ -119,7 +129,7 @@ class TestArrayFormat:
             load_matrix(p)
         # Nor is such an array written, in either format.
         for fmt in ("array", "csv"):
-            with pytest.raises(ValidationError, match=r"can only write 2-D matrices, got shape \(5,\)"):
+            with pytest.raises(ShapeError, match=re.escape(f"{tmp_path / 'out'} must be 2-D, got shape (5,)")):
                 write_matrix(np.zeros(5), tmp_path / "out", fmt)
         assert not (tmp_path / "out").exists()
         # Boolean extents are not integers, even though bool subclasses int.

@@ -95,6 +95,13 @@ MUTANTS = {
             "tests/test_ensemble.py::TestUfuncBuffer::test_sweeps_and_fusion_leave_the_buffer_size",
         ),
     ),
+    # write_matrix writes a plain array or nested list unchecked.
+    "write_matrix trusts plain input": Mutant(
+        "src/rankfuse/io_files.py",
+        "_as_matrix(m, str(path))",
+        "m",
+        ("tests/test_fuzz.py::test_write_matrix_refuses_non_finite_cells_naming_the_path_and_cell",),
+    ),
 }
 
 
